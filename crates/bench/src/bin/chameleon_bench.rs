@@ -9,9 +9,12 @@
 //! performance trajectory:
 //!
 //! ```text
-//! cargo run -p chameleon-bench --release --bin chameleon-bench
+//! cargo run -p chameleon-bench --release --bin chameleon-bench -- --tag PR<n>
 //! cargo run -p chameleon-bench --release --bin chameleon-bench -- --smoke --out bench-smoke.json
 //! ```
+//!
+//! `--tag` names the report (default `dev`) and, without `--out`, its
+//! file: `BENCH_<tag>.json`.
 //!
 //! `--smoke` shrinks every scenario to a few seconds of work for CI; the
 //! checked-in `BENCH_PR<n>.json` files are produced by full release-mode
@@ -35,27 +38,29 @@ use chameleon_models::{AdapterId, AdapterRank, AdapterSpec, LlmSpec};
 use chameleon_sched::{
     ChameleonConfig, ChameleonScheduler, QueuedRequest, Scheduler, StaticProbe, WrsConfig,
 };
-use chameleon_simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use chameleon_simcore::{EventQueue, FastSet, SimDuration, SimRng, SimTime};
 use chameleon_workload::{Request, RequestId};
-use std::collections::HashSet;
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = "BENCH_PR10.json".to_string();
+    let mut tag = "dev".to_string();
+    let mut out_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out requires a path"),
+            "--tag" => tag = args.next().expect("--tag requires a name"),
+            "--out" => out_path = Some(args.next().expect("--out requires a path")),
             "--help" | "-h" => {
-                eprintln!("usage: chameleon-bench [--smoke] [--out PATH]");
+                eprintln!("usage: chameleon-bench [--smoke] [--tag NAME] [--out PATH]");
                 return;
             }
             other => panic!("unknown argument {other:?}"),
         }
     }
 
-    let mut report = BenchReport::new("PR10", smoke);
+    let out_path = out_path.unwrap_or_else(|| format!("BENCH_{tag}.json"));
+    let mut report = BenchReport::new(tag, smoke);
     let cores = par::default_workers();
     if cores == 1 {
         report.degraded = true;
@@ -1016,7 +1021,7 @@ fn run_storm(
             cache.release(&mut pool, spec.id(), SimTime::from_secs_f64(clock));
         }
     }
-    let none = HashSet::new();
+    let none = FastSet::default();
     let (wall, evictions) = timed(|| {
         for _ in 0..rounds {
             clock += 1.0;

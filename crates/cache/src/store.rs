@@ -11,9 +11,9 @@
 use crate::policy::{Candidate, EvictionPolicy};
 use chameleon_gpu::memory::{MemoryPool, OutOfMemory, Region};
 use chameleon_models::{AdapterId, AdapterSpec};
-use chameleon_simcore::SimTime;
+use chameleon_simcore::{FastMap, FastSet, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Aggregate cache statistics (Figure 14 and §5.3 report these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ struct Entry {
 /// first non-protected element *is* the victim; the normalised compound
 /// policies (whose scores depend on the candidate set and on `now`) use
 /// `(0, 0, id)`, degrading the index to a deterministic id-ordered idle
-/// set that the per-pass scan walks without touching the `HashMap`.
+/// set that the per-pass scan walks without touching the entry map.
 type IdleKey = (u64, u64, AdapterId);
 
 fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
@@ -169,7 +169,7 @@ pub struct AdapterCache {
     policy: EvictionPolicy,
     /// Keep idle adapters on release (Chameleon) vs discard them (S-LoRA).
     retain_on_release: bool,
-    entries: HashMap<AdapterId, Entry>,
+    entries: FastMap<AdapterId, Entry>,
     stats: CacheStats,
     gdsf_floor: f64,
     /// Incrementally maintained eviction-candidate index over the idle
@@ -194,7 +194,7 @@ impl AdapterCache {
         AdapterCache {
             policy,
             retain_on_release: true,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
             idle: BTreeSet::new(),
@@ -432,7 +432,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: &HashSet<AdapterId>,
+        protected: &FastSet<AdapterId>,
     ) -> bool {
         if pool.free() >= needed {
             return true;
@@ -452,7 +452,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&FastSet<AdapterId>>,
     ) {
         if self.full_scan_eviction {
             self.evict_pass_full_scan(pool, needed, now, protected);
@@ -470,7 +470,7 @@ impl AdapterCache {
         &mut self,
         pool: &mut MemoryPool,
         needed: u64,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&FastSet<AdapterId>>,
     ) {
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
@@ -506,7 +506,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&FastSet<AdapterId>>,
     ) {
         use std::cmp::Reverse;
         if pool.free() >= needed {
@@ -592,7 +592,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&FastSet<AdapterId>>,
     ) {
         while pool.free() < needed {
             let mut ids: Vec<AdapterId> = self
@@ -706,6 +706,7 @@ mod tests {
     use super::*;
     use chameleon_models::{AdapterRank, LlmSpec};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn spec(id: u32, rank: u32) -> AdapterSpec {
         AdapterSpec::new(AdapterId(id), AdapterRank::new(rank), &LlmSpec::llama_7b())
@@ -780,7 +781,7 @@ mod tests {
         c.insert_loaded(&mut pool, &d, t(2.0), 0).unwrap(); // idle, newer
         assert_eq!(pool.free(), 0);
         // Need one slot: LRU evicts b (oldest idle), never a (pinned).
-        assert!(c.make_room(&mut pool, 64 << 20, t(3.0), &HashSet::new()));
+        assert!(c.make_room(&mut pool, 64 << 20, t(3.0), &FastSet::default()));
         assert!(!c.is_resident(b.id()));
         assert!(c.is_resident(a.id()));
         assert!(c.is_resident(d.id()));
@@ -795,7 +796,7 @@ mod tests {
         let (a, b) = (spec(1, 32), spec(2, 32));
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         c.insert_loaded(&mut pool, &b, t(1.0), 0).unwrap();
-        let protect_a: HashSet<AdapterId> = [a.id()].into();
+        let protect_a = FastSet::from_iter([a.id()]);
         // One slot needed: b (unprotected) goes first even though a is older.
         assert!(c.make_room(&mut pool, 64 << 20, t(2.0), &protect_a));
         assert!(c.is_resident(a.id()));
@@ -811,7 +812,7 @@ mod tests {
         let mut c = AdapterCache::new(EvictionPolicy::chameleon());
         let a = spec(1, 32);
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
-        assert!(!c.make_room(&mut pool, 64 << 20, t(1.0), &HashSet::new()));
+        assert!(!c.make_room(&mut pool, 64 << 20, t(1.0), &FastSet::default()));
         assert!(c.is_resident(a.id()), "pinned adapter survived");
     }
 
@@ -873,7 +874,7 @@ mod tests {
         c.add_ref(&mut pool, a.id(), t(2.0));
         c.release(&mut pool, a.id(), t(3.0));
         // Need a slot: LRU evicts a (idle); b is pinned.
-        assert!(c.make_room(&mut pool, 64 << 20, t(4.0), &HashSet::new()));
+        assert!(c.make_room(&mut pool, 64 << 20, t(4.0), &FastSet::default()));
         let journal = c.drain_journal();
         assert_eq!(
             journal,
@@ -912,7 +913,7 @@ mod tests {
                     0 => {
                         // acquire-or-load path
                         if !c.acquire(&mut pool, a.id(), t(clock)) {
-                            if c.make_room(&mut pool, a.bytes(), t(clock), &HashSet::new())
+                            if c.make_room(&mut pool, a.bytes(), t(clock), &FastSet::default())
                                 && c.insert_loaded(&mut pool, &a, t(clock), 1).is_ok() {
                                 *live_refs.entry(a.id()).or_insert(0) += 1;
                             }
@@ -928,7 +929,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        let _ = c.make_room(&mut pool, 16 << 20, t(clock), &HashSet::new());
+                        let _ = c.make_room(&mut pool, 16 << 20, t(clock), &FastSet::default());
                     }
                     _ => c.decay_frequencies(),
                 }
@@ -977,7 +978,7 @@ mod tests {
                     match op {
                         0 | 1 => {
                             if !c.acquire(pool, a.id(), t(clock)) {
-                                if c.make_room(pool, a.bytes(), t(clock), &HashSet::new()) {
+                                if c.make_room(pool, a.bytes(), t(clock), &FastSet::default()) {
                                     let _ = c.insert_loaded(pool, &a, t(clock), 0);
                                 }
                             } else {
@@ -986,11 +987,11 @@ mod tests {
                         }
                         2 => {
                             // Protected first pass, override second.
-                            let protect: HashSet<AdapterId> = [a.id()].into();
+                            let protect = FastSet::from_iter([a.id()]);
                             let _ = c.make_room(pool, 32 << 20, t(clock), &protect);
                         }
                         3 => {
-                            let _ = c.make_room(pool, 16 << 20, t(clock), &HashSet::new());
+                            let _ = c.make_room(pool, 16 << 20, t(clock), &FastSet::default());
                         }
                         _ => c.decay_frequencies(),
                     }

@@ -19,10 +19,10 @@ use chameleon_metrics::{Collector, KvStats, MemorySample, SizeClass};
 use chameleon_models::{AdapterId, AdapterPool};
 use chameleon_predictor::{HistogramLoadPredictor, OutputLenPredictor};
 use chameleon_sched::{AdmissionOutcome, QueuedRequest, ResourceProbe, Scheduler, WrsConfig};
-use chameleon_simcore::{SimDuration, SimTime};
+use chameleon_simcore::{FastMap, FastSet, SimDuration, SimTime};
 use chameleon_trace::TraceEvent;
 use chameleon_workload::{Request, RequestId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Events driving the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,20 +103,28 @@ struct Restoring {
     kv_reserved: u32,
 }
 
+/// A request in a launched step: its id and its index in `running` when
+/// the step launched, which resolves it at completion without a scan.
+#[derive(Debug, Clone, Copy)]
+struct StepSlot {
+    id: RequestId,
+    idx: usize,
+}
+
 /// What the engine is executing right now.
 #[derive(Debug, Clone)]
 enum StepPlan {
     /// Full (or chunked) prefill for these requests; `chunks[i]` prompt
     /// tokens are processed for request `ids[i]`.
     Prefill {
-        ids: Vec<RequestId>,
+        ids: Vec<StepSlot>,
         chunks: Vec<u32>,
     },
     /// One decode iteration for these requests, plus (in chunked-prefill
     /// mode) prompt chunks folded in.
     Decode {
-        ids: Vec<RequestId>,
-        folded_prefill: Vec<(RequestId, u32)>,
+        ids: Vec<StepSlot>,
+        folded_prefill: Vec<(StepSlot, u32)>,
     },
 }
 
@@ -144,7 +152,7 @@ pub struct Engine {
     load_predictor: HistogramLoadPredictor,
     collector: Collector,
     running: Vec<Running>,
-    loading: HashMap<AdapterId, Loading>,
+    loading: FastMap<AdapterId, Loading>,
     /// KV plane (unified GPU-memory economy): `None` keeps every path
     /// byte-identical to the optimistic allocate-then-unwind baseline.
     kv_spec: Option<KvSpec>,
@@ -173,15 +181,15 @@ pub struct Engine {
     admit_buf: Vec<AdmissionOutcome>,
     requeue_buf: Vec<AdmissionOutcome>,
     adapters_buf: Vec<AdapterId>,
-    protected_buf: HashSet<AdapterId>,
+    protected_buf: FastSet<AdapterId>,
     prefetch_buf: Vec<AdapterId>,
     prefill_idx: Vec<usize>,
     decode_idx: Vec<usize>,
     prefill_items: Vec<PrefillItem>,
     decode_items: Vec<DecodeItem>,
-    ids_pool: Vec<RequestId>,
+    ids_pool: Vec<StepSlot>,
     chunks_pool: Vec<u32>,
-    folded_pool: Vec<(RequestId, u32)>,
+    folded_pool: Vec<(StepSlot, u32)>,
     pairs_scratch: Vec<BypassPair>,
     /// Decision-trace buffer in this engine's own execution order; `None`
     /// (the default) keeps every emission site a single branch. The driver
@@ -249,7 +257,7 @@ impl Engine {
             load_predictor: HistogramLoadPredictor::new(),
             collector: Collector::new(),
             running: Vec::new(),
-            loading: HashMap::new(),
+            loading: FastMap::default(),
             kv_spec,
             kv_stats,
             demoted: Vec::new(),
@@ -269,7 +277,7 @@ impl Engine {
             admit_buf: Vec::new(),
             requeue_buf: Vec::new(),
             adapters_buf: Vec::new(),
-            protected_buf: HashSet::new(),
+            protected_buf: FastSet::default(),
             prefetch_buf: Vec::new(),
             prefill_idx: Vec::new(),
             decode_idx: Vec::new(),
@@ -676,6 +684,7 @@ impl Engine {
         );
         self.load_predictor.observe(req.adapter(), now);
         let predicted = self.predictor.predict(&req);
+        let predicted = self.fit_prediction(req.input_tokens(), predicted, spec.bytes());
         let wrs = self
             .wrs_cfg
             .compute(req.input_tokens(), predicted, spec.bytes());
@@ -748,8 +757,8 @@ impl Engine {
         };
         match plan {
             StepPlan::Prefill { ids, chunks } => {
-                for (&id, &chunk) in ids.iter().zip(chunks.iter()) {
-                    self.apply_prefill_progress(id, chunk, now);
+                for (&slot, &chunk) in ids.iter().zip(chunks.iter()) {
+                    self.apply_prefill_progress(slot, chunk, now);
                 }
                 // Return the plan's buffers to the pool for the next step.
                 self.ids_pool = ids;
@@ -759,11 +768,11 @@ impl Engine {
                 ids,
                 folded_prefill,
             } => {
-                for &(id, chunk) in &folded_prefill {
-                    self.apply_prefill_progress(id, chunk, now);
+                for &(slot, chunk) in &folded_prefill {
+                    self.apply_prefill_progress(slot, chunk, now);
                 }
-                for &id in &ids {
-                    self.apply_decode_progress(id, now);
+                for &slot in &ids {
+                    self.apply_decode_progress(slot, now);
                 }
                 self.ids_pool = ids;
                 self.folded_pool = folded_prefill;
@@ -774,26 +783,33 @@ impl Engine {
         self.prefetch(now, out);
     }
 
-    fn apply_prefill_progress(&mut self, id: RequestId, chunk: u32, now: SimTime) {
-        let mut first_token_arrival = None;
-        {
-            let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) else {
-                return; // squashed mid-step
-            };
-            r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
-            if r.prefill_remaining == 0 && r.produced == 0 {
-                // Prefill completion produces the first token.
-                r.produced = 1;
-                first_token_arrival = Some(r.req.arrival());
-            }
+    /// Index of a step's request in `running`. The launch-time index
+    /// still holds it unless a squash or demotion earlier in this step
+    /// swap-removed an entry; only then does it scan. `None` when the
+    /// request itself left the batch mid-step.
+    fn resolve(&self, slot: StepSlot) -> Option<usize> {
+        match self.running.get(slot.idx) {
+            Some(r) if r.req.id() == slot.id => Some(slot.idx),
+            _ => self.running.iter().position(|r| r.req.id() == slot.id),
         }
-        if let Some(arrival) = first_token_arrival {
-            self.collector.on_token(id, now);
+    }
+
+    fn apply_prefill_progress(&mut self, slot: StepSlot, chunk: u32, now: SimTime) {
+        let Some(idx) = self.resolve(slot) else {
+            return; // squashed mid-step
+        };
+        let r = &mut self.running[idx];
+        r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
+        if r.prefill_remaining == 0 && r.produced == 0 {
+            // Prefill completion produces the first token.
+            r.produced = 1;
+            let arrival = r.req.arrival();
+            self.collector.on_token(slot.id, now);
             if let Some(buf) = self.trace.as_mut() {
                 buf.push((
                     now,
                     TraceEvent::FirstToken {
-                        req: id.0,
+                        req: slot.id.0,
                         ttft: now.saturating_since(arrival),
                     },
                 ));
@@ -801,43 +817,59 @@ impl Engine {
         }
     }
 
-    fn apply_decode_progress(&mut self, id: RequestId, now: SimTime) {
-        let Some(idx) = self.running.iter().position(|r| r.req.id() == id) else {
+    fn apply_decode_progress(&mut self, slot: StepSlot, now: SimTime) {
+        let Some(idx) = self.resolve(slot) else {
             return; // squashed mid-step
         };
-        {
-            let r = &mut self.running[idx];
-            r.produced += 1;
-            self.collector.on_token(id, now);
-        }
+        let r = &mut self.running[idx];
+        r.produced += 1;
         // Grow KV beyond the admission reservation when the request
         // outlives its prediction.
-        let (needed, reserved) = {
-            let r = &self.running[idx];
-            (r.req.input_tokens() + r.produced, r.kv_reserved)
-        };
-        if needed > reserved && !self.ensure_kv_growth(id, now) {
+        let grows = r.req.input_tokens() + r.produced > r.kv_reserved;
+        self.collector.on_token(slot.id, now);
+        if grows && !self.ensure_kv_growth(idx, now) {
             // OOM during decode: with the hybrid cache armed and pressure
             // past the threshold, demote the youngest running request to a
             // compact hidden-state proxy; otherwise squash it outright
             // (recompute-style preemption).
-            if !self.try_demote_youngest_except(id, now) {
-                self.squash_youngest_except(id, now);
+            if !self.try_demote_youngest_except(slot.id, now) {
+                self.squash_youngest_except(slot.id, now);
             }
+            // The victim's swap_remove may have moved this request.
+            let idx = self
+                .resolve(StepSlot { id: slot.id, idx })
+                .expect("the growing request is never the victim");
             // Retry; if it still fails the request stalls one token —
             // growth will be retried next iteration.
-            let _ = self.ensure_kv_growth(id, now);
+            let _ = self.ensure_kv_growth(idx, now);
         }
+    }
+
+    /// Usable KV space: memory left after the weights and the activation
+    /// headroom.
+    fn usable_kv_bytes(&self) -> u64 {
+        self.mem
+            .capacity()
+            .saturating_sub(self.mem.used(Region::Weights))
+            .saturating_sub(self.mem.used(Region::Activations))
+    }
+
+    /// Caps a predicted output length so the request's footprint —
+    /// block-rounded KV for its input plus the prediction, and its
+    /// adapter — fits the engine's whole usable KV space. A larger
+    /// prediction could never be admitted or restored, and the liveness
+    /// poke would spin on it forever.
+    fn fit_prediction(&self, input: u32, predicted: u32, adapter_bytes: u64) -> u32 {
+        let blocks = self.usable_kv_bytes().saturating_sub(adapter_bytes) / self.kv.block_bytes();
+        let fits = blocks.saturating_mul(u64::from(self.cfg.kv_block_tokens));
+        let fits = u32::try_from(fits).unwrap_or(u32::MAX);
+        predicted.min(fits.saturating_sub(input).max(1))
     }
 
     /// KV pressure: KV-cache bytes over usable (non-weight,
     /// non-activation) memory, in `[0, 1]`.
     fn kv_pressure(&self) -> f64 {
-        let usable = self
-            .mem
-            .capacity()
-            .saturating_sub(self.mem.used(Region::Weights))
-            .saturating_sub(self.mem.used(Region::Activations));
+        let usable = self.usable_kv_bytes();
         if usable == 0 {
             return 1.0;
         }
@@ -953,17 +985,21 @@ impl Engine {
                 // Refresh the reservation the way squash re-annotation
                 // does: the system has seen `produced` tokens, so reserve
                 // at least that plus a block of headroom.
-                let predicted = d
-                    .predicted_output
-                    .max(d.produced + self.cfg.kv_block_tokens)
-                    .min(d.req.output_tokens().max(1));
-                let kv_tokens = d.req.input_tokens() + predicted;
                 let adapter = d.req.adapter();
+                let adapter_bytes = self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0);
+                let predicted = self.fit_prediction(
+                    d.req.input_tokens(),
+                    d.predicted_output
+                        .max(d.produced + self.cfg.kv_block_tokens)
+                        .min(d.req.output_tokens().max(1)),
+                    adapter_bytes,
+                );
+                let kv_tokens = d.req.input_tokens() + predicted;
                 let adapter_need =
                     if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
                         0
                     } else {
-                        self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0)
+                        adapter_bytes
                     };
                 (kv_tokens, adapter, adapter_need)
             };
@@ -1023,8 +1059,8 @@ impl Engine {
         self.protected_buf.extend(self.adapters_buf.iter().copied());
     }
 
-    /// Tries to grow `id`'s KV reservation by one token, evicting idle
-    /// cached adapters if needed. Returns success.
+    /// Tries to grow the KV reservation of `running[idx]` by one token,
+    /// evicting idle cached adapters if needed. Returns success.
     ///
     /// The grow is attempted *first*: when the new token fits in the
     /// sequence's already-allocated block, `kv.grow` reserves zero bytes
@@ -1032,11 +1068,10 @@ impl Engine {
     /// preemption may be demanded on that path. Only a failed grow — the
     /// token crosses a block boundary and the pool is out — evicts idle
     /// cache and retries.
-    fn ensure_kv_growth(&mut self, id: RequestId, now: SimTime) -> bool {
+    fn ensure_kv_growth(&mut self, idx: usize, now: SimTime) -> bool {
+        let id = self.running[idx].req.id();
         if self.kv.grow(&mut self.mem, id, 1).is_ok() {
-            if let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) {
-                r.kv_reserved += 1;
-            }
+            self.running[idx].kv_reserved += 1;
             return true;
         }
         // A new block is genuinely needed: make room and retry once.
@@ -1051,9 +1086,7 @@ impl Engine {
         }
         match self.kv.grow(&mut self.mem, id, 1) {
             Ok(()) => {
-                if let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) {
-                    r.kv_reserved += 1;
-                }
+                self.running[idx].kv_reserved += 1;
                 true
             }
             Err(_) => false,
@@ -1156,11 +1189,7 @@ impl Engine {
             acc += item.1;
             item.1 = acc;
         }
-        let usable = self
-            .mem
-            .capacity()
-            .saturating_sub(self.mem.used(Region::Weights))
-            .saturating_sub(self.mem.used(Region::Activations));
+        let usable = self.usable_kv_bytes();
         probe.now = now;
         probe.available_tokens = available_tokens;
         probe.batch_slots = self
@@ -1504,10 +1533,13 @@ impl Engine {
         // reserves at least that much plus a block of headroom — otherwise
         // an under-predicted request would OOM and squash again forever.
         let spec = self.pool.get(r.req.adapter()).expect("known").clone();
-        let predicted = r
-            .predicted_output
-            .max(r.produced + self.cfg.kv_block_tokens)
-            .min(r.req.output_tokens().max(1));
+        let predicted = self.fit_prediction(
+            r.req.input_tokens(),
+            r.predicted_output
+                .max(r.produced + self.cfg.kv_block_tokens)
+                .min(r.req.output_tokens().max(1)),
+            spec.bytes(),
+        );
         let wrs = self
             .wrs_cfg
             .compute(r.req.input_tokens(), predicted, spec.bytes());
@@ -1612,7 +1644,10 @@ impl Engine {
                 let r = &self.running[i];
                 let take = r.prefill_remaining.min(budget);
                 budget -= take;
-                ids.push(r.req.id());
+                ids.push(StepSlot {
+                    id: r.req.id(),
+                    idx: i,
+                });
                 chunks.push(take);
                 self.prefill_items.push(PrefillItem {
                     tokens: take,
@@ -1627,7 +1662,10 @@ impl Engine {
         }
         let mut ids = std::mem::take(&mut self.ids_pool);
         ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| self.running[i].req.id()));
+        ids.extend(self.decode_idx.iter().map(|&i| StepSlot {
+            id: self.running[i].req.id(),
+            idx: i,
+        }));
         self.fill_decode_items();
         let dur = self.cost.decode_step_time(&self.decode_items);
         let mut folded = std::mem::take(&mut self.folded_pool);
@@ -1671,7 +1709,13 @@ impl Engine {
             let r = &self.running[i];
             let chunk = r.prefill_remaining.min(budget);
             budget -= chunk;
-            folded.push((r.req.id(), chunk));
+            folded.push((
+                StepSlot {
+                    id: r.req.id(),
+                    idx: i,
+                },
+                chunk,
+            ));
             self.prefill_items.push(PrefillItem {
                 tokens: chunk,
                 rank: Some(r.req.rank()),
@@ -1679,7 +1723,10 @@ impl Engine {
         }
         let mut ids = std::mem::take(&mut self.ids_pool);
         ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| self.running[i].req.id()));
+        ids.extend(self.decode_idx.iter().map(|&i| StepSlot {
+            id: self.running[i].req.id(),
+            idx: i,
+        }));
         self.fill_decode_items();
         // Folding shares one iteration: the chunk's compute rides along,
         // minus one duplicated fixed overhead.
@@ -2013,6 +2060,13 @@ mod tests {
         assert_eq!(e.completed(), 0);
     }
 
+    fn slot(id: u64, idx: usize) -> StepSlot {
+        StepSlot {
+            id: RequestId(id),
+            idx,
+        }
+    }
+
     /// Installs a running request with `kv_reserved` tokens of allocated
     /// KV, registered with the collector so squash/retire paths stay
     /// valid. The adapter is marked in-flight so a squash drops a waiter
@@ -2074,7 +2128,7 @@ mod tests {
         assert!(e.mem.free() < e.kv.block_bytes());
         let squashes_before = e.squashes;
         // Token 18 of request 1 (16 input + produced 2) fits in block 2.
-        e.apply_decode_progress(RequestId(1), now);
+        e.apply_decode_progress(slot(1, 0), now);
         assert_eq!(e.squashes, squashes_before, "within-block growth preempted");
         assert_eq!(e.running.len(), 2, "victim stayed in the batch");
         assert_eq!(e.kv.tokens_of(RequestId(1)), Some(18));
@@ -2105,7 +2159,7 @@ mod tests {
         if let Some(r) = e.running.iter_mut().find(|r| r.req.id() == RequestId(1)) {
             r.produced = 2; // needed = 33 > reserved 32 after the +1 below
         }
-        e.apply_decode_progress(RequestId(1), now);
+        e.apply_decode_progress(slot(1, 0), now);
         assert_eq!(e.squashes, 1, "boundary growth under OOM must preempt");
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
@@ -2173,5 +2227,82 @@ mod tests {
         assert!(e.running.is_empty());
         assert_eq!(e.sched.len(), 1, "squashed bypasser requeued");
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
+    }
+
+    /// A decode step whose first request's growth crosses a block boundary
+    /// with no memory left: the youngest request (slot 2) is squashed and
+    /// `swap_remove` moves the last one (slot 4) into its place while the
+    /// step's later ids are still unprocessed. Returns the engine after
+    /// the step completes with `hints` as the step's launch indices.
+    fn step_through_mid_step_squash(hints: [usize; 5]) -> Engine {
+        let mut e = mk_engine();
+        let t0 = SimTime::from_secs_f64(1.0);
+        let admitted = [0.0, 0.1, 0.5, 0.2, 0.3];
+        // Request 1 holds exactly two full blocks, so its next token needs
+        // a third; the others have room in their blocks.
+        let kv = [32, 16, 16, 16, 16];
+        let input = [30, 8, 8, 8, 8];
+        for i in 0..5 {
+            let id = i as u64 + 1;
+            let req = request(id, 0.0, input[i], 50, i as u32);
+            install_running(&mut e, req, kv[i], SimTime::from_secs_f64(admitted[i]));
+            e.collector.on_token(RequestId(id), t0);
+        }
+        e.running[0].produced = 2;
+        let free = e.mem.free();
+        e.mem
+            .reserve(Region::Activations, free)
+            .expect("free bytes just measured");
+        let ids = (0..5).map(|i| slot(i as u64 + 1, hints[i])).collect();
+        e.step_seq = 7;
+        e.current_step = Some(StepPlan::Decode {
+            ids,
+            folded_prefill: Vec::new(),
+        });
+        let mut out = Vec::new();
+        e.handle(
+            SimTime::from_secs_f64(1.5),
+            EngineEvent::StepDone(7),
+            &mut out,
+        );
+        e
+    }
+
+    /// Index hints stay correct when a mid-step squash reshuffles
+    /// `running`: every surviving id gains exactly one token, the
+    /// squashed id none, and the outcome equals a reference run in
+    /// which every hint misses, so every id resolves by linear scan.
+    #[test]
+    fn index_hints_survive_a_mid_step_squash() {
+        let hinted = step_through_mid_step_squash([0, 1, 2, 3, 4]);
+        assert_eq!(hinted.squashes, 1);
+        let squashed = RequestId(3);
+        assert!(hinted.running.iter().all(|r| r.req.id() != squashed));
+        let order: Vec<u64> = hinted.running.iter().map(|r| r.req.id().0).collect();
+        assert_eq!(order, vec![1, 2, 5, 4], "request 5 moved mid-step");
+        for r in &hinted.running {
+            let before = if r.req.id() == RequestId(1) { 2 } else { 1 };
+            assert_eq!(r.produced, before + 1, "{} gains one token", r.req.id());
+            let rec = hinted.collector.get(r.req.id()).unwrap();
+            assert_eq!(rec.tbt_gaps.len(), 1, "{} gains one token", r.req.id());
+        }
+        let rec = hinted.collector.get(squashed).unwrap();
+        assert_eq!(rec.squashes, 1);
+        assert!(rec.first_token.is_none() && rec.tbt_gaps.is_empty());
+        assert_eq!(hinted.kv.total_bytes(), hinted.mem.used(Region::KvCache));
+
+        let scanned = step_through_mid_step_squash([usize::MAX; 5]);
+        let state = |e: &Engine| {
+            let running: Vec<_> = e
+                .running
+                .iter()
+                .map(|r| (r.req.id(), r.produced, r.kv_reserved))
+                .collect();
+            let records: Vec<_> = (1..=5)
+                .map(|id| format!("{:?}", e.collector.get(RequestId(id))))
+                .collect();
+            (running, records, e.squashes, e.kv.total_bytes())
+        };
+        assert_eq!(state(&hinted), state(&scanned));
     }
 }

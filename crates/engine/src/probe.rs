@@ -2,16 +2,19 @@
 
 use chameleon_models::AdapterId;
 use chameleon_sched::ResourceProbe;
-use chameleon_simcore::{SimDuration, SimTime};
-use std::collections::HashSet;
+use chameleon_simcore::{FastSet, SimDuration, SimTime};
 
-/// Immutable snapshot of engine resource state at one iteration boundary.
+/// Engine resource state at one iteration boundary. Schedulers read it
+/// through [`ResourceProbe`]; the engine refills one instance in place at
+/// every probe (see [`Default`]).
 #[derive(Debug, Clone)]
 pub struct EngineProbe {
     pub(crate) now: SimTime,
     pub(crate) available_tokens: u64,
     pub(crate) batch_slots: usize,
-    pub(crate) resident: HashSet<AdapterId>,
+    /// Adapters a batch can use without a new load: idle cached, in use by
+    /// running requests, or in flight.
+    pub(crate) resident: FastSet<AdapterId>,
     /// Seconds of engine time per resource token (blended prefill/decode,
     /// used for generic token costs).
     pub(crate) secs_per_token: f64,
@@ -40,7 +43,7 @@ impl Default for EngineProbe {
             now: SimTime::ZERO,
             available_tokens: 0,
             batch_slots: 0,
-            resident: HashSet::new(),
+            resident: FastSet::default(),
             secs_per_token: 0.0,
             decode_secs_per_token: 0.0,
             prefill_secs_per_token: 0.0,
@@ -117,7 +120,7 @@ mod tests {
             now: SimTime::from_secs_f64(10.0),
             available_tokens: 500,
             batch_slots: 8,
-            resident: [AdapterId(1)].into(),
+            resident: FastSet::from_iter([AdapterId(1)]),
             secs_per_token: 0.001,
             decode_secs_per_token: 0.002,
             prefill_secs_per_token: 0.0001,

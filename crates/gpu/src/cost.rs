@@ -243,11 +243,19 @@ impl CostModel {
             .sum();
         let kv_secs = kv_bytes as f64 / (self.tp as f64 * hbm);
         // Each *distinct* adapter's weights are re-read by the gather
-        // kernels once per iteration, with a scatter penalty.
-        let mut ranks: Vec<AdapterRank> = batch.iter().filter_map(|i| i.rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        let lora_bytes: u64 = ranks.iter().map(|&r| adapter_bytes(&self.llm, r)).sum();
+        // kernels once per iteration, with a scatter penalty. A rank counts
+        // at its first occurrence only; the search for it stops there, so
+        // a batch drawn from a few ranks costs O(batch × ranks) and no
+        // allocation. The integer sum does not depend on rank order.
+        let lora_bytes: u64 = batch
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| {
+                let r = item.rank?;
+                let first = batch.iter().position(|j| j.rank == Some(r)) == Some(i);
+                first.then(|| adapter_bytes(&self.llm, r))
+            })
+            .sum();
         let lora_secs =
             lora_bytes as f64 * self.calib.lora_decode_read_penalty / (self.tp as f64 * hbm);
         self.calib.iter_overhead
@@ -364,6 +372,30 @@ mod tests {
             (0.30..0.50).contains(&exec_frac),
             "exec fraction {exec_frac}"
         );
+    }
+
+    /// Decode re-reads each distinct rank once per iteration: a repeated
+    /// rank adds no LoRA bytes, and the order of the items does not matter.
+    #[test]
+    fn decode_step_counts_each_rank_once() {
+        let m = model();
+        let item = |kv_tokens, rank: Option<u32>| DecodeItem {
+            kv_tokens,
+            rank: rank.map(AdapterRank::new),
+        };
+        let base = [item(300, Some(8)), item(200, Some(64)), item(100, None)];
+        let t = m.decode_step_time(&base);
+        let mut shuffled = base;
+        shuffled.rotate_left(1);
+        assert_eq!(m.decode_step_time(&shuffled), t);
+        let mut with = base.to_vec();
+        with.push(item(0, Some(64)));
+        let mut without = base.to_vec();
+        without.push(item(0, None));
+        assert_eq!(m.decode_step_time(&with), m.decode_step_time(&without));
+        let mut new_rank = base.to_vec();
+        new_rank.push(item(0, Some(128)));
+        assert!(m.decode_step_time(&new_rank) > m.decode_step_time(&without));
     }
 
     /// Figure 2: TTFT is monotone in rank.

@@ -8,8 +8,8 @@
 //! [`MemoryPool`].
 
 use crate::memory::{MemoryPool, OutOfMemory, Region};
+use chameleon_simcore::FastMap;
 use chameleon_workload::RequestId;
-use std::collections::HashMap;
 
 /// Default tokens per KV block (vLLM/S-LoRA use 16).
 pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
@@ -34,11 +34,11 @@ pub struct KvAllocator {
     bytes_per_token: u64,
     block_tokens: u32,
     /// Per-sequence (token count, block count).
-    seqs: HashMap<RequestId, (u32, u32)>,
+    seqs: FastMap<RequestId, (u32, u32)>,
     total_blocks: u64,
     /// Hybrid-cache proxy entries: demoted sequences holding a compact
     /// hidden-state proxy (bytes) instead of full block-granular KV.
-    proxies: HashMap<RequestId, u64>,
+    proxies: FastMap<RequestId, u64>,
     proxy_bytes_total: u64,
 }
 
@@ -54,9 +54,9 @@ impl KvAllocator {
         KvAllocator {
             bytes_per_token,
             block_tokens,
-            seqs: HashMap::new(),
+            seqs: FastMap::default(),
             total_blocks: 0,
-            proxies: HashMap::new(),
+            proxies: FastMap::default(),
             proxy_bytes_total: 0,
         }
     }
@@ -122,15 +122,20 @@ impl KvAllocator {
         id: RequestId,
         new_tokens: u32,
     ) -> Result<(), OutOfMemory> {
-        let (tokens, blocks) = *self.seqs.get(&id).unwrap_or_else(|| panic!("{id} unknown"));
-        let target_tokens = tokens + new_tokens;
-        let target_blocks = self.blocks_for(target_tokens);
-        if target_blocks > blocks {
-            let extra = target_blocks - blocks;
-            mem.reserve(Region::KvCache, u64::from(extra) * self.block_bytes())?;
+        let block_bytes = self.block_bytes();
+        let (tokens, blocks) = self
+            .seqs
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("{id} unknown"));
+        let target_tokens = *tokens + new_tokens;
+        let target_blocks = target_tokens.div_ceil(self.block_tokens);
+        if target_blocks > *blocks {
+            let extra = target_blocks - *blocks;
+            mem.reserve(Region::KvCache, u64::from(extra) * block_bytes)?;
             self.total_blocks += u64::from(extra);
         }
-        self.seqs.insert(id, (target_tokens, target_blocks));
+        *tokens = target_tokens;
+        *blocks = target_blocks;
         Ok(())
     }
 

@@ -2,9 +2,8 @@
 
 use crate::record::{RequestRecord, SizeClass};
 use chameleon_models::{AdapterId, AdapterRank};
-use chameleon_simcore::{SimDuration, SimTime};
+use chameleon_simcore::{FastMap, SimDuration, SimTime};
 use chameleon_workload::RequestId;
-use std::collections::HashMap;
 
 /// Collects per-request records as the engine reports lifecycle events.
 ///
@@ -13,8 +12,17 @@ use std::collections::HashMap;
 /// events for unknown requests — those are engine bugs worth catching early.
 #[derive(Debug, Default)]
 pub struct Collector {
-    records: HashMap<RequestId, RequestRecord>,
-    last_token_at: HashMap<RequestId, SimTime>,
+    records: FastMap<RequestId, Tracked>,
+}
+
+/// A request's record plus the per-token state that derives its TBT gaps,
+/// so a token costs one map lookup.
+#[derive(Debug)]
+struct Tracked {
+    record: RequestRecord,
+    /// When the request's previous token was produced in its current
+    /// execution; `None` before the first token and after a squash.
+    last_token_at: Option<SimTime>,
 }
 
 impl Collector {
@@ -40,20 +48,23 @@ impl Collector {
     ) {
         let prev = self.records.insert(
             id,
-            RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank),
+            Tracked {
+                record: RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank),
+                last_token_at: None,
+            },
         );
         assert!(prev.is_none(), "{id} arrived twice");
     }
 
     /// Records the scheduler's size-class decision.
     pub fn on_classified(&mut self, id: RequestId, class: SizeClass) {
-        self.rec(id).class = Some(class);
+        self.rec(id).record.class = Some(class);
     }
 
     /// Records first admission into a batch, with the adapter-load time
     /// left on the critical path at that moment (zero on a cache hit).
     pub fn on_admitted(&mut self, id: RequestId, at: SimTime, load_on_path: SimDuration) {
-        let r = self.rec(id);
+        let r = &mut self.rec(id).record;
         if r.admitted.is_none() {
             r.admitted = Some(at);
             r.load_on_critical_path = load_on_path;
@@ -62,23 +73,18 @@ impl Collector {
 
     /// Records a produced output token; the first one sets TTFT.
     pub fn on_token(&mut self, id: RequestId, at: SimTime) {
-        let r = self.rec(id);
-        if r.first_token.is_none() {
-            r.first_token = Some(at);
-        } else if let Some(&prev) = self.last_token_at.get(&id) {
-            let gap = at.saturating_since(prev);
-            self.records
-                .get_mut(&id)
-                .expect("checked above")
-                .tbt_gaps
-                .push(gap);
+        let t = self.rec(id);
+        if t.record.first_token.is_none() {
+            t.record.first_token = Some(at);
+        } else if let Some(prev) = t.last_token_at {
+            t.record.tbt_gaps.push(at.saturating_since(prev));
         }
-        self.last_token_at.insert(id, at);
+        t.last_token_at = Some(at);
     }
 
     /// Records completion.
     pub fn on_finish(&mut self, id: RequestId, at: SimTime) {
-        let r = self.rec(id);
+        let r = &mut self.rec(id).record;
         assert!(r.finished.is_none(), "{id} finished twice");
         r.finished = Some(at);
     }
@@ -86,17 +92,17 @@ impl Collector {
     /// Records a squash (§4.3.3): generated state is discarded and the
     /// request re-queued; its admission/token state resets.
     pub fn on_squash(&mut self, id: RequestId) {
-        let r = self.rec(id);
-        r.squashes += 1;
-        r.admitted = None;
-        r.first_token = None;
-        r.tbt_gaps.clear();
-        self.last_token_at.remove(&id);
+        let t = self.rec(id);
+        t.record.squashes += 1;
+        t.record.admitted = None;
+        t.record.first_token = None;
+        t.record.tbt_gaps.clear();
+        t.last_token_at = None;
     }
 
     /// Records an opportunistic bypass by this request (§4.3.3).
     pub fn on_bypass(&mut self, id: RequestId) {
-        self.rec(id).bypasses += 1;
+        self.rec(id).record.bypasses += 1;
     }
 
     /// Number of registered requests.
@@ -111,7 +117,7 @@ impl Collector {
 
     /// Read access to one record.
     pub fn get(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.records.get(&id)
+        self.records.get(&id).map(|t| &t.record)
     }
 
     /// Removes a request from the collector entirely, returning its
@@ -120,18 +126,17 @@ impl Collector {
     /// re-dispatch would trip the arrived-twice guard or leave a duplicate
     /// record behind on the dead engine).
     pub fn remove(&mut self, id: RequestId) -> Option<RequestRecord> {
-        self.last_token_at.remove(&id);
-        self.records.remove(&id)
+        self.records.remove(&id).map(|t| t.record)
     }
 
     /// Finalises the collector into records sorted by arrival time.
     pub fn into_records(self) -> Vec<RequestRecord> {
-        let mut v: Vec<RequestRecord> = self.records.into_values().collect();
+        let mut v: Vec<RequestRecord> = self.records.into_values().map(|t| t.record).collect();
         v.sort_by_key(|r| (r.arrival, r.id));
         v
     }
 
-    fn rec(&mut self, id: RequestId) -> &mut RequestRecord {
+    fn rec(&mut self, id: RequestId) -> &mut Tracked {
         self.records
             .get_mut(&id)
             .unwrap_or_else(|| panic!("event for unknown {id}"))
@@ -216,6 +221,44 @@ mod tests {
     }
 
     #[test]
+    fn squash_starts_a_fresh_tbt_series() {
+        let mut c = Collector::new();
+        arrive(&mut c, 1, 0.0);
+        c.on_token(RequestId(1), t(0.2));
+        c.on_token(RequestId(1), t(0.3));
+        c.on_squash(RequestId(1));
+        // Re-execution: the first token after the squash opens a new
+        // series, so no gap spans the squash.
+        c.on_token(RequestId(1), t(2.0));
+        c.on_token(RequestId(1), t(2.25));
+        let r = c.get(RequestId(1)).unwrap();
+        assert_eq!(r.ttft(), Some(SimDuration::from_secs(2)));
+        assert_eq!(r.tbt_gaps, vec![SimDuration::from_millis(250)]);
+    }
+
+    #[test]
+    fn removed_request_rearrives_with_a_fresh_tbt_series() {
+        let mut c = Collector::new();
+        arrive(&mut c, 1, 0.0);
+        c.on_token(RequestId(1), t(0.2));
+        c.on_token(RequestId(1), t(0.3));
+        let partial = c.remove(RequestId(1)).expect("registered");
+        assert_eq!(partial.tbt_gaps, vec![SimDuration::from_millis(100)]);
+        assert!(c.get(RequestId(1)).is_none());
+        // Crash re-dispatch: the request arrives again and restarts.
+        arrive(&mut c, 1, 0.0);
+        c.on_token(RequestId(1), t(5.0));
+        c.on_token(RequestId(1), t(5.5));
+        c.on_token(RequestId(1), t(5.75));
+        let r = c.get(RequestId(1)).unwrap();
+        assert_eq!(r.ttft(), Some(SimDuration::from_secs(5)));
+        assert_eq!(
+            r.tbt_gaps,
+            vec![SimDuration::from_millis(500), SimDuration::from_millis(250)]
+        );
+    }
+
+    #[test]
     fn records_sorted_by_arrival() {
         let mut c = Collector::new();
         arrive(&mut c, 2, 5.0);
@@ -227,7 +270,7 @@ mod tests {
 
     #[test]
     fn export_is_insertion_order_independent() {
-        // The records live in a HashMap; the export path must sort so
+        // Map iteration order is arbitrary; the export path must sort so
         // derived outputs are reproducible regardless of the order the
         // engine (or a future parallel producer) fed events in.
         let build = |order: &[u64]| {

@@ -24,8 +24,7 @@
 //! sequence regardless of hash-map iteration order.
 
 use chameleon_models::AdapterId;
-use chameleon_simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use chameleon_simcore::{FastMap, SimDuration, SimTime};
 
 /// Per-adapter inter-arrival statistics.
 #[derive(Debug, Clone)]
@@ -117,7 +116,7 @@ pub struct Forecast {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HistogramLoadPredictor {
-    histories: HashMap<AdapterId, AdapterHistory>,
+    histories: FastMap<AdapterId, AdapterHistory>,
 }
 
 impl HistogramLoadPredictor {

@@ -29,7 +29,7 @@ use crate::quota::{assign_quotas, QueueLoad};
 use crate::scheduler::{effective_need, AdmissionOutcome, ResourceProbe, Scheduler};
 use crate::wrs::WrsConfig;
 use chameleon_models::AdapterId;
-use chameleon_simcore::{SimDuration, SimTime};
+use chameleon_simcore::{FastSet, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Configuration of the Chameleon scheduler.
@@ -93,7 +93,7 @@ pub struct ChameleonScheduler {
     refreshes: u64,
     bypass_admissions: u64,
     /// Dedup scratch for [`Scheduler::queued_adapters_into`].
-    seen: std::collections::HashSet<AdapterId>,
+    seen: FastSet<AdapterId>,
     /// Reusable WRS-sample buffer for the K-means refresh.
     wrs_scratch: Vec<f64>,
     /// Retired queue deques kept for reuse across reconfigurations, so a
@@ -121,7 +121,7 @@ impl ChameleonScheduler {
             last_refresh: None,
             refreshes: 0,
             bypass_admissions: 0,
-            seen: std::collections::HashSet::new(),
+            seen: FastSet::default(),
             wrs_scratch: Vec::new(),
             spare_queues: Vec::new(),
         }

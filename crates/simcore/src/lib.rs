@@ -2,6 +2,8 @@
 //!
 //! This crate provides the foundation every other crate builds on:
 //!
+//! * [`fasthash`] — [`FastMap`]/[`FastSet`], hash tables on a fast
+//!   hasher for the simulator's own integer ids.
 //! * [`time`] — nanosecond-resolution virtual time ([`SimTime`]) and spans
 //!   ([`SimDuration`]), kept separate from wall-clock types so simulated and
 //!   real time can never be confused.
@@ -33,11 +35,13 @@
 
 pub mod dist;
 pub mod event;
+pub mod fasthash;
 pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
+pub use fasthash::{FastMap, FastSet};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

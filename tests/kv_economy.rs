@@ -2,12 +2,19 @@
 //! opt-in overlay (observe arm behaviourally inert, off arm pinned by the
 //! digest oracles), armed runs are bit-identical across cluster execution
 //! modes, admission control eliminates requeue-front storms under
-//! KV-bound load, and the decision trace carries the three KV events.
+//! KV-bound load, the decision trace carries the three KV events, and
+//! an over-predicted footprint cannot livelock a memory-starved engine.
 
+use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, ClusterExecution, KvSpec, SystemConfig, TraceSpec,
 };
-use chameleon_repro::models::GpuSpec;
+use chameleon_repro::engine::{Engine, EngineConfig, EngineEvent};
+use chameleon_repro::models::{AdapterPool, GpuSpec, LlmSpec, PoolConfig};
+use chameleon_repro::predictor::OutputLenPredictor;
+use chameleon_repro::sched::{ChameleonConfig, ChameleonScheduler, WrsConfig};
+use chameleon_repro::simcore::{EventQueue, SimDuration, SimTime};
+use chameleon_repro::workload::Request;
 
 const SEEDS: [u64; 2] = [3, 11];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
@@ -173,4 +180,76 @@ fn kv_events_reach_the_trace() {
         report.canonical_text(),
         "tracing changed an armed run"
     );
+}
+
+/// Predicts 64 times the true output: on the 15 GiB engine many
+/// predicted footprints exceed the whole KV space.
+struct OverPredictor;
+
+impl OutputLenPredictor for OverPredictor {
+    fn predict(&mut self, request: &Request) -> u32 {
+        request.output_tokens().saturating_mul(64)
+    }
+    fn name(&self) -> &'static str {
+        "over"
+    }
+}
+
+/// Regression for the starved-engine livelock: a request whose predicted
+/// footprint exceeded the engine's whole KV space was never admitted, and
+/// the liveness poke kept the run going forever. The engine now caps a
+/// prediction at what the empty engine can hold, so a KV-guarded engine
+/// with a wildly over-predicting predictor still finishes every request,
+/// with the allocator and the pool agreeing at the end.
+#[test]
+fn over_predicted_footprints_cannot_livelock_a_starved_engine() {
+    const MAX_EVENTS: u64 = 2_000_000;
+    let seed = 3;
+    let llm = LlmSpec::llama_7b();
+    let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(20));
+    let trace = workloads::splitwise(3.0, 120.0, seed, &pool);
+    let mut cfg = EngineConfig::new(llm, tight_gpu());
+    cfg.kv = Some(KvSpec::new());
+    let wrs = WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64);
+    let mut engine = Engine::new(
+        cfg,
+        pool,
+        Box::new(ChameleonScheduler::new(
+            ChameleonConfig::paper(SimDuration::from_secs(5)),
+            wrs,
+        )),
+        Box::new(OverPredictor),
+        AdapterCache::new(EvictionPolicy::chameleon()),
+        wrs,
+    );
+    let mut q = EventQueue::new();
+    for r in &trace {
+        q.push(r.arrival(), EngineEvent::Arrival(*r));
+    }
+    let refresh = engine.config().refresh_interval;
+    q.push(SimTime::ZERO + refresh, EngineEvent::Refresh);
+    let mut out = Vec::new();
+    while let Some((t, ev)) = q.pop() {
+        assert!(
+            q.processed() < MAX_EVENTS,
+            "livelock: {MAX_EVENTS} events, {} of {} requests completed, {} queued",
+            engine.completed(),
+            trace.len(),
+            engine.queue_len()
+        );
+        let periodic = matches!(ev, EngineEvent::Refresh);
+        engine.handle(t, ev, &mut out);
+        for (at, e) in out.drain(..) {
+            q.push(at, e);
+        }
+        if periodic && (t < SimTime::from_secs_f64(120.0) || engine.has_work()) {
+            q.push(t + refresh, EngineEvent::Refresh);
+        }
+    }
+    let (alloc, kv_region) = engine.kv_accounting();
+    assert_eq!(alloc, kv_region, "allocator and pool disagree");
+    assert_eq!(engine.completed() as usize, trace.len(), "lost requests");
+    let report = engine.into_report();
+    assert_eq!(report.records.len(), trace.len());
+    assert!(report.records.iter().all(|r| r.is_complete()));
 }
