@@ -4,7 +4,7 @@
 //! 4-engine cluster routed JSQ vs AdapterAffinity) plus hot-path
 //! micro-benches (event-queue churn, eviction storm, refresh storm,
 //! parallel-vs-serial sweep), a profiled barrier/epoch breakdown, and a
-//! traced telemetry-series export (CSV/JSONL written next to the bench
+//! traced telemetry-series export (JSONL written next to the bench
 //! JSON), and writes the numbers as JSON, extending the PR-over-PR
 //! performance trajectory:
 //!
@@ -939,7 +939,7 @@ fn barrier_profile_table(report: &mut BenchReport, smoke: bool) {
 
 /// Runs the single-engine macro-scenario with tracing on and exports the
 /// windowed time-series (sliding P99 TTFT, occupancy, per-engine queue
-/// depth and utilisation) as CSV and JSONL next to the bench JSON.
+/// depth and utilisation) as JSONL next to the bench JSON.
 fn telemetry_series(out_path: &str, smoke: bool) {
     let mut cfg = preset::chameleon().with_trace(chameleon_core::TraceSpec::new());
     cfg.num_adapters = 600;
@@ -950,12 +950,10 @@ fn telemetry_series(out_path: &str, smoke: bool) {
     let run = sim.run(&trace);
     let export = chameleon_core::telemetry::collect(&run);
     let stem = out_path.strip_suffix(".json").unwrap_or(out_path);
-    let csv_path = format!("{stem}_series.csv");
     let jsonl_path = format!("{stem}_series.jsonl");
-    std::fs::write(&csv_path, export.to_csv()).expect("write series csv");
     std::fs::write(&jsonl_path, export.to_jsonl()).expect("write series jsonl");
     println!(
-        "  telemetry_series    {} samples -> {csv_path}, {jsonl_path}",
+        "  telemetry_series    {} samples -> {jsonl_path}",
         export.len()
     );
 }

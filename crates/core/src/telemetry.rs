@@ -1,7 +1,7 @@
 //! Windowed time-series export: the run's observable state over time,
 //! flattened into one tidy `(series, engine, t_ns, value)` table and
-//! serialised as CSV or JSONL (hand-rolled; the workspace's `serde` is
-//! an offline no-op stub).
+//! serialised as JSONL (hand-rolled; the workspace's `serde` is an
+//! offline no-op stub).
 //!
 //! Two sources feed the table:
 //!
@@ -220,31 +220,6 @@ impl TelemetryExport {
         self.rows.is_empty()
     }
 
-    /// CSV with a `series,engine,t_ns,value` header; the engine column is
-    /// empty for aggregate series.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(32 + self.rows.len() * 40);
-        out.push_str("series,engine,t_ns,value\n");
-        for row in &self.rows {
-            match row.engine {
-                Some(e) => {
-                    let _ = writeln!(
-                        out,
-                        "{},{},{},{}",
-                        row.series,
-                        e,
-                        row.at.as_nanos(),
-                        row.value
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "{},,{},{}", row.series, row.at.as_nanos(), row.value);
-                }
-            }
-        }
-        out
-    }
-
     /// JSONL: one object per row; `engine` is `null` for aggregates.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + self.rows.len() * 72);
@@ -317,11 +292,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_jsonl_shapes() {
+    fn jsonl_shape() {
         let export = collect(&traced_report());
-        let csv = export.to_csv();
-        assert!(csv.starts_with("series,engine,t_ns,value\n"));
-        assert_eq!(csv.lines().count(), export.len() + 1);
         let jsonl = export.to_jsonl();
         assert_eq!(jsonl.lines().count(), export.len());
         assert!(jsonl.lines().all(|l| l.starts_with("{\"series\":\"")));
@@ -397,8 +369,8 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let a = collect(&traced_report()).to_csv();
-        let b = collect(&traced_report()).to_csv();
+        let a = collect(&traced_report()).to_jsonl();
+        let b = collect(&traced_report()).to_jsonl();
         assert_eq!(a, b);
     }
 }

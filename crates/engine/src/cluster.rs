@@ -166,6 +166,44 @@ struct RecoveryEpisode {
     victims: Vec<u64>,
 }
 
+/// Where the router put one request.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    /// Index of the chosen engine in the snapshot buffer.
+    idx: usize,
+    /// Slot position of the chosen engine.
+    pos: usize,
+    chosen: EngineId,
+    spilled: bool,
+    /// The request's adapter was resident on the chosen engine at the
+    /// routing barrier.
+    resident: bool,
+}
+
+/// One run's arrival cursor and tallies, shared by the barrier handlers
+/// and the retirement path.
+struct RunState<'a> {
+    reqs: &'a [Request],
+    /// Indices into `reqs` in dispatch order.
+    order: Vec<u32>,
+    /// Position in `order` of the next arrival to dispatch.
+    next: usize,
+    /// The reported horizon. It advances on arrivals and live-engine
+    /// events only, so a trailing controller tick cannot inflate it;
+    /// stale events of retired engines count toward neither `last` nor
+    /// `processed`.
+    last: SimTime,
+    /// Events processed this run.
+    processed: u64,
+}
+
+impl RunState<'_> {
+    /// The next undispatched arrival.
+    fn peek(&self) -> Option<Request> {
+        self.order.get(self.next).map(|&i| self.reqs[i as usize])
+    }
+}
+
 /// Engine-id → fault-domain map pinned by [`Cluster::set_topology`].
 /// Engines provisioned after the pin (autoscaler growth) are absent —
 /// each is its own singleton domain, which anti-affinity treats as
@@ -271,10 +309,33 @@ impl EngineSlot {
         self.processed = 0;
         self.last = SimTime::ZERO;
         self.retire_ready = false;
-        self.queue
-            .push(SimTime::ZERO + mem_int, EngineEvent::MemSample);
-        self.queue
-            .push(SimTime::ZERO + refresh_int, EngineEvent::Refresh);
+        self.schedule_ticks(SimTime::ZERO, mem_int, refresh_int);
+    }
+
+    /// Joins the shared periodic-tick schedule from instant `from`.
+    fn schedule_ticks(&mut self, from: SimTime, mem_int: SimDuration, refresh_int: SimDuration) {
+        self.queue.push(from + mem_int, EngineEvent::MemSample);
+        self.queue.push(from + refresh_int, EngineEvent::Refresh);
+    }
+
+    /// Hands `ev` to the engine at `t` and queues the local events it
+    /// schedules.
+    fn handle(&mut self, t: SimTime, ev: EngineEvent) {
+        self.engine.handle(t, ev, &mut self.out);
+        for (at, e) in self.out.drain(..) {
+            self.queue.push(at, e);
+        }
+    }
+
+    /// Starts a warm transfer of `adapter` into this engine at `now` and
+    /// queues its completion; the transferred bytes, or `None` when the
+    /// engine skipped the warm (already resident, or no room).
+    fn warm(&mut self, adapter: AdapterId, now: SimTime) -> Option<u64> {
+        let bytes = self.engine.warm_load(adapter, now, &mut self.out)?;
+        for (at, e) in self.out.drain(..) {
+            self.queue.push(at, e);
+        }
+        Some(bytes)
     }
 
     /// True when this slot has a local event due before `boundary` or an
@@ -312,11 +373,7 @@ impl EngineSlot {
                 if self.engine.is_adapter_resident(req.adapter()) {
                     self.arrival_hits += 1;
                 }
-                self.engine
-                    .handle(ta, EngineEvent::Arrival(req), &mut self.out);
-                for (at, e) in self.out.drain(..) {
-                    self.queue.push(at, e);
-                }
+                self.handle(ta, EngineEvent::Arrival(req));
                 self.processed += 1;
                 self.last = ta;
                 continue;
@@ -333,10 +390,7 @@ impl EngineSlot {
                 EngineEvent::Refresh => Some((t + cmd.refresh_int, EngineEvent::Refresh)),
                 _ => None,
             };
-            self.engine.handle(t, ev, &mut self.out);
-            for (at, e) in self.out.drain(..) {
-                self.queue.push(at, e);
-            }
+            self.handle(t, ev);
             if let Some((at, e)) = reschedule {
                 // Keep periodic ticks alive while dispatches remain —
                 // including batch members not yet delivered (`t <
@@ -642,6 +696,28 @@ impl Cluster {
         }
     }
 
+    /// Slot position of engine `id`, `None` once it left the fleet.
+    fn pos_of(&self, id: EngineId) -> Option<usize> {
+        self.slots.iter().position(|s| s.id == id)
+    }
+
+    /// Ids of the engines on `rack`, in slot order.
+    fn rack_members(&self, rack: u32) -> Vec<u32> {
+        self.slots
+            .iter()
+            .filter(|s| self.rack_of(s.id) == Some(rack))
+            .map(|s| s.id.0)
+            .collect()
+    }
+
+    /// Pushes a coordinator-lane trace event at `at` when tracing is on;
+    /// `ev` is only built then, so untraced runs pay one branch.
+    fn emit(&mut self, at: SimTime, ev: impl FnOnce() -> TraceEvent) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.push(at, Lane::Coordinator, ev());
+        }
+    }
+
     /// True while engine `id`'s rack is cut off from the coordinator.
     fn slot_unreachable(&self, id: EngineId) -> bool {
         match self.fault.as_ref() {
@@ -743,10 +819,8 @@ impl Cluster {
         );
         let id = self.next_engine_id();
         self.next_id += 1;
-        if self.router.uses_affinity() {
-            let moved = self.count_rehomed(&engine, Some((id, engine.capacity_weight())), None);
-            self.stats.on_adapters_rehomed(moved);
-        }
+        let moved = self.count_rehomed(&engine, Some((id, engine.capacity_weight())), None);
+        self.stats.on_adapters_rehomed(moved);
         self.stats.on_engine_added(id);
         let mut slot = EngineSlot::new(id, false, engine);
         if self.tracer.is_some() {
@@ -778,7 +852,7 @@ impl Cluster {
     /// draining, or the last active engine — a cluster never drains to
     /// zero.
     pub fn drain_engine(&mut self, id: EngineId) -> bool {
-        let Some(pos) = self.slots.iter().position(|s| s.id == id) else {
+        let Some(pos) = self.pos_of(id) else {
             return false;
         };
         if self.slots[pos].draining || self.active_engines() <= 1 {
@@ -790,10 +864,8 @@ impl Cluster {
         if !self.slot_unreachable(id) && self.reachable_active() <= 1 {
             return false;
         }
-        if self.router.uses_affinity() {
-            let moved = self.count_rehomed(&self.slots[pos].engine, None, Some(id));
-            self.stats.on_adapters_rehomed(moved);
-        }
+        let moved = self.count_rehomed(&self.slots[pos].engine, None, Some(id));
+        self.stats.on_adapters_rehomed(moved);
         self.slots[pos].draining = true;
         self.stats.on_engine_drained(id);
         self.snap_filled_at = None;
@@ -815,14 +887,17 @@ impl Cluster {
     /// Counts adapters whose weighted-rendezvous home differs between the
     /// current active set and the same set with `joining` added or
     /// `leaving` removed — the measured (not assumed) migration cost of a
-    /// fleet change. `pool_of` only lends its adapter pool (all engines
-    /// share one).
+    /// fleet change; zero for routers without affinity. `pool_of` only
+    /// lends its adapter pool (all engines share one).
     fn count_rehomed(
         &self,
         pool_of: &Engine,
         joining: Option<(EngineId, f64)>,
         leaving: Option<EngineId>,
     ) -> u64 {
+        if !self.router.uses_affinity() {
+            return 0;
+        }
         let before = self.active_weights();
         let mut after = before.clone();
         if let Some(e) = joining {
@@ -891,12 +966,12 @@ impl Cluster {
     /// stashed for the final merge, its run counters fold into the
     /// cluster's, and its pending events are discarded — exactly the
     /// stale ticks the pre-epoch single-heap loop popped and dropped.
-    fn retire_slot(&mut self, pos: usize, last: &mut SimTime, processed: &mut u64) {
+    fn retire_slot(&mut self, pos: usize, run: &mut RunState<'_>) {
         let mut slot = self.slots.remove(pos);
         self.snap_filled_at = None;
         slot.queue.clear();
-        *processed += slot.processed;
-        *last = (*last).max(slot.last);
+        run.processed += slot.processed;
+        run.last = run.last.max(slot.last);
         self.stats.affinity_hits += slot.arrival_hits;
         self.stats.fault.pcie_retries += slot.engine.pcie_fault_retries();
         if let Some(tracer) = self.tracer.as_mut() {
@@ -908,11 +983,11 @@ impl Cluster {
     /// Retires every slot the last epoch marked retire-ready, in slot
     /// order (the merged report is id-ordered anyway, so this order is
     /// not observable).
-    fn harvest_retired(&mut self, last: &mut SimTime, processed: &mut u64) {
+    fn harvest_retired(&mut self, run: &mut RunState<'_>) {
         let mut pos = 0;
         while pos < self.slots.len() {
             if self.slots[pos].retire_ready {
-                self.retire_slot(pos, last, processed);
+                self.retire_slot(pos, run);
             } else {
                 pos += 1;
             }
@@ -995,21 +1070,12 @@ impl Cluster {
                 .collect();
             let epoch = self.trace_epoch;
             self.trace_epoch += 1;
-            let tracer = self.tracer.as_mut().expect("tracing enabled");
-            tracer.push(
-                at,
-                Lane::Coordinator,
-                TraceEvent::BarrierOpen {
-                    epoch,
-                    boundary,
-                    pending: pending as u32,
-                },
-            );
-            tracer.push(
-                at,
-                Lane::Coordinator,
-                TraceEvent::BarrierClose { epoch, stepped },
-            );
+            self.emit(at, || TraceEvent::BarrierOpen {
+                epoch,
+                boundary,
+                pending: pending as u32,
+            });
+            self.emit(at, || TraceEvent::BarrierClose { epoch, stepped });
         }
     }
 
@@ -1069,16 +1135,8 @@ impl Cluster {
                 };
                 let home_id = weights[home].0;
                 let target_id = weights[target].0;
-                let pos = self
-                    .slots
-                    .iter()
-                    .position(|s| s.id == target_id)
-                    .expect("active engine is present");
-                let slot = &mut self.slots[pos];
-                if let Some(bytes) = slot.engine.warm_load(f.adapter, now, &mut slot.out) {
-                    for (at, e) in slot.out.drain(..) {
-                        slot.queue.push(at, e);
-                    }
+                let pos = self.pos_of(target_id).expect("active engine is present");
+                if let Some(bytes) = self.slots[pos].warm(f.adapter, now) {
                     // Cooldown starts only on a warm that was actually
                     // issued: a skip for tight memory (exactly when a
                     // burst is ramping) must stay retryable on the next
@@ -1087,18 +1145,12 @@ impl Cluster {
                     self.last_warm.insert(f.adapter, now);
                     self.stats.predictive.on_prewarm(bytes);
                     self.outstanding_warms.insert(f.adapter, target_id);
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        tracer.push(
-                            now,
-                            Lane::Coordinator,
-                            TraceEvent::PrewarmIssued {
-                                adapter: f.adapter.0,
-                                target: target_id.0,
-                                home: home_id.0,
-                                bytes,
-                            },
-                        );
-                    }
+                    self.emit(now, || TraceEvent::PrewarmIssued {
+                        adapter: f.adapter.0,
+                        target: target_id.0,
+                        home: home_id.0,
+                        bytes,
+                    });
                     warms += 1;
                 }
             }
@@ -1123,23 +1175,21 @@ impl Cluster {
         ForecastSignal { predicted_arrivals }
     }
 
-    /// Drain-time shard handoff: the departing engine's resident adapters
-    /// that *homed* on it are pushed into the survivors that inherit them
-    /// (each adapter to its post-drain rendezvous home), as
-    /// PCIe-cost-modelled warm transfers on the survivors' links — so the
-    /// migrated shard is warm before its first post-drain request instead
-    /// of cold-missing on demand. Spilled or pre-replicated copies the
-    /// victim happened to hold are not part of the shard and stay behind.
-    fn handoff_shard(&mut self, victim: EngineId, now: SimTime) {
+    /// Re-homes a departing engine's shard warm: `victim`'s resident
+    /// adapters that *homed* on it are pushed into the survivors that
+    /// inherit them (each adapter to its post-departure rendezvous home),
+    /// as PCIe-cost-modelled warm transfers on the survivors' links — so
+    /// the migrated shard is warm before its first request instead of
+    /// cold-missing on demand. Spilled or pre-replicated copies the
+    /// victim happened to hold are not part of the shard and stay
+    /// behind. Returns the adapters moved and their bytes; the caller
+    /// books them to its own ledger (drain handoff or crash recovery).
+    fn warm_shard(&mut self, victim: EngineId, now: SimTime) -> (u64, u64) {
         let survivors = self.active_weights();
         if survivors.is_empty() {
-            return;
+            return (0, 0);
         }
-        let vpos = self
-            .slots
-            .iter()
-            .position(|s| s.id == victim)
-            .expect("drained engine is present");
+        let vpos = self.pos_of(victim).expect("departing engine is present");
         let mut before = survivors.clone();
         before.push((victim, self.slots[vpos].engine.capacity_weight()));
         let mut shard: Vec<AdapterId> = self.slots[vpos]
@@ -1158,34 +1208,13 @@ impl Cluster {
                 continue;
             }
             let new_home = survivors[policies::rendezvous_home(a, survivors.iter().copied())].0;
-            let pos = self
-                .slots
-                .iter()
-                .position(|s| s.id == new_home)
-                .expect("survivor is present");
-            let slot = &mut self.slots[pos];
-            if let Some(bytes) = slot.engine.warm_load(a, now, &mut slot.out) {
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
+            let pos = self.pos_of(new_home).expect("survivor is present");
+            if let Some(bytes) = self.slots[pos].warm(a, now) {
                 moved += 1;
                 bytes_total += bytes;
             }
         }
-        if moved > 0 {
-            self.stats.predictive.on_handoff(moved, bytes_total);
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.push(
-                    now,
-                    Lane::Coordinator,
-                    TraceEvent::Handoff {
-                        from: victim.0,
-                        adapters: moved as u32,
-                        bytes: bytes_total,
-                    },
-                );
-            }
-        }
+        (moved, bytes_total)
     }
 
     /// The instant of the next fault-plane cross event: the earliest of
@@ -1211,89 +1240,62 @@ impl Cluster {
     fn fault_barrier(
         &mut self,
         t: SimTime,
-        last: &mut SimTime,
-        processed: &mut u64,
+        run: &mut RunState<'_>,
         scale: &mut Option<(&mut Autoscaler, &mut dyn FnMut(EngineId) -> Engine)>,
     ) {
-        loop {
-            let action = match self.fault.as_mut() {
-                Some(fs) => fs.timeline.pop_due(t),
-                None => None,
-            };
-            let Some(action) = action else { break };
+        while let Some(action) = self.fault.as_mut().and_then(|fs| fs.timeline.pop_due(t)) {
             match action {
-                FaultAction::Crash(engine) => self.fault_crash(engine, t, last, processed),
+                FaultAction::Crash(engine) => self.fault_crash(engine, t, run),
                 FaultAction::StragglerStart(engine, factor) => {
                     self.set_slot_slowdown(engine, factor)
                 }
                 FaultAction::StragglerEnd(engine) => self.set_slot_slowdown(engine, 1.0),
-                FaultAction::DomainCrash(rack) => self.fault_domain_crash(rack, t, last, processed),
+                FaultAction::DomainCrash(rack) => self.fault_domain_crash(rack, t, run),
                 FaultAction::BrownoutStart(rack, factor) => self.set_domain_slowdown(rack, factor),
                 FaultAction::BrownoutEnd(rack) => self.set_domain_slowdown(rack, 1.0),
                 FaultAction::PartitionStart(rack, heal) => self.partition_start(rack, heal, t),
                 FaultAction::PartitionEnd(rack) => self.partition_end(rack, t),
             }
         }
-        loop {
-            let due = {
-                let fs = self.fault.as_mut().expect("fault barrier without plane");
-                match fs.pending_provisions.iter().position(|&p| p <= t) {
-                    Some(pos) => fs.pending_provisions.remove(pos),
-                    None => break,
-                }
-            };
-            debug_assert!(due <= t);
+        let fs = self.fault.as_mut().expect("fault barrier without plane");
+        let pending = fs.pending_provisions.len();
+        fs.pending_provisions.retain(|&p| p > t);
+        let joining = pending - fs.pending_provisions.len();
+        // The ledger is sorted by due instant.
+        let due = fs.retries.partition_point(|r| r.due <= t);
+        let retries: Vec<RetryEntry> = fs.retries.drain(..due).collect();
+        for _ in 0..joining {
             let (_, grow) = scale
                 .as_mut()
                 .expect("delayed provision without autoscaler");
-            let id = self.next_engine_id();
-            let engine = grow(id);
-            let assigned = self.add_engine(engine);
-            assert_eq!(assigned, id, "engine id minted twice");
-            let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
-            let slot = self.slots.last_mut().expect("engine just added");
-            slot.queue.push(t + mem_int, EngineEvent::MemSample);
-            slot.queue.push(t + refresh_int, EngineEvent::Refresh);
+            self.join_engine(t, &mut **grow);
         }
-        let mut retry_count: u32 = 0;
-        let mut retry_reused = false;
-        loop {
-            let entry = {
-                let fs = self.fault.as_mut().expect("fault barrier without plane");
-                if fs.retries.first().is_some_and(|r| r.due <= t) {
-                    fs.retries.remove(0)
-                } else {
-                    break;
-                }
-            };
-            if self.dispatch.is_some() && retry_count == 0 {
-                // Batched dispatch: all retries due at this barrier share
-                // one snapshot generation — the arrival batch's when it
-                // routed at this same instant and the fleet has not
-                // changed since (crashes and provisions above invalidate
-                // it), a fresh one otherwise.
-                retry_reused = self.snap_filled_at == Some(t);
-                if retry_reused {
-                    self.stats.dispatch.retry_generation_reuses += 1;
-                } else {
-                    self.refresh_snapshots(t);
-                }
-            }
-            retry_count += 1;
-            self.dispatch_retry(t, entry, last);
+        if retries.is_empty() {
+            return;
         }
-        if retry_count > 0 && self.dispatch.is_some() {
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.push(
-                    t,
-                    Lane::Coordinator,
-                    TraceEvent::RetryBatch {
-                        generation: self.snap_gen,
-                        size: retry_count,
-                        reused: retry_reused,
-                    },
-                );
-            }
+        // Batched dispatch: all retries due at this barrier share one
+        // snapshot generation — the arrival batch's when it routed at
+        // this same instant and the fleet has not changed since (crashes
+        // and provisions above invalidate it), a fresh one otherwise.
+        let batched = self.dispatch.is_some();
+        let reused = batched && self.snap_filled_at == Some(t);
+        if reused {
+            self.stats.dispatch.retry_generation_reuses += 1;
+        } else if batched {
+            self.refresh_snapshots(t);
+        }
+        let size = retries.len() as u32;
+        for entry in retries {
+            self.dispatch_retry(t, entry);
+        }
+        run.last = run.last.max(t);
+        if batched {
+            let generation = self.snap_gen;
+            self.emit(t, || TraceEvent::RetryBatch {
+                generation,
+                size,
+                reused,
+            });
         }
     }
 
@@ -1305,9 +1307,9 @@ impl Cluster {
     /// (the records of requests it *completed* survive into the report).
     /// The last active engine refuses to die — a fleet never crashes to
     /// zero — and a crash aimed at an engine that already left is moot.
-    fn fault_crash(&mut self, engine: u32, t: SimTime, last: &mut SimTime, processed: &mut u64) {
+    fn fault_crash(&mut self, engine: u32, t: SimTime, run: &mut RunState<'_>) {
         let victim = EngineId(engine);
-        let Some(pos) = self.slots.iter().position(|s| s.id == victim) else {
+        let Some(pos) = self.pos_of(victim) else {
             return;
         };
         let was_draining = self.slots[pos].draining;
@@ -1320,32 +1322,36 @@ impl Cluster {
         let queued = self.slots[pos].engine.queue_len() as u32;
         let running = self.slots[pos].engine.running_len() as u32;
         self.stats.fault.engines_failed += 1;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.push(
-                t,
-                Lane::Coordinator,
-                TraceEvent::EngineFailed {
-                    engine,
-                    queued,
-                    running,
-                },
-            );
-        }
+        self.emit(t, || TraceEvent::EngineFailed {
+            engine,
+            queued,
+            running,
+        });
         if !was_draining {
-            if self.router.uses_affinity() {
-                let moved = self.count_rehomed(&self.slots[pos].engine, None, Some(victim));
-                self.stats.on_adapters_rehomed(moved);
-            }
+            let moved = self.count_rehomed(&self.slots[pos].engine, None, Some(victim));
+            self.stats.on_adapters_rehomed(moved);
             // Out of the routing candidate set before any recovery
             // decision looks at the fleet.
             self.slots[pos].draining = true;
             if self.predictive.is_some_and(|s| s.handoff) {
-                self.recover_shard(victim, t);
+                // Crash-time shard recovery: the drain handoff's warm
+                // re-homing, booked to the fault ledger because here the
+                // copies race the backlog's re-dispatch.
+                let (moved, bytes) = self.warm_shard(victim, t);
+                if moved > 0 {
+                    self.stats.fault.shard_adapters_recovered += moved;
+                    self.stats.fault.shard_bytes_recovered += bytes;
+                    self.emit(t, || TraceEvent::ShardRecovered {
+                        from: engine,
+                        adapters: moved as u32,
+                        bytes,
+                    });
+                }
             }
         }
         let lost = self.slots[pos].engine.crash_unfinished();
         self.enqueue_victims(lost, t, None);
-        self.retire_slot(pos, last, processed);
+        self.retire_slot(pos, run);
     }
 
     /// Pushes extracted victims into the retry ledger — detection
@@ -1398,48 +1404,23 @@ impl Cluster {
     /// moot; the last-engine refusal in [`Cluster::fault_crash`] still
     /// applies per member, so a rack holding the whole fleet loses all
     /// but one engine.
-    fn fault_domain_crash(
-        &mut self,
-        rack: u32,
-        t: SimTime,
-        last: &mut SimTime,
-        processed: &mut u64,
-    ) {
-        let members: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| self.rack_of(s.id) == Some(rack))
-            .map(|s| s.id.0)
-            .collect();
+    fn fault_domain_crash(&mut self, rack: u32, t: SimTime, run: &mut RunState<'_>) {
+        let members = self.rack_members(rack);
         if members.is_empty() {
             return;
         }
         self.stats.fault.domains_failed += 1;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.push(
-                t,
-                Lane::Coordinator,
-                TraceEvent::DomainFailed {
-                    rack,
-                    engines: members.len() as u32,
-                },
-            );
-        }
+        let engines = members.len() as u32;
+        self.emit(t, || TraceEvent::DomainFailed { rack, engines });
         for engine in members {
-            self.fault_crash(engine, t, last, processed);
+            self.fault_crash(engine, t, run);
         }
     }
 
     /// Applies a brownout slowdown to every engine of `rack` (`1.0`
     /// heals it).
     fn set_domain_slowdown(&mut self, rack: u32, factor: f64) {
-        let members: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| self.rack_of(s.id) == Some(rack))
-            .map(|s| s.id.0)
-            .collect();
-        for engine in members {
+        for engine in self.rack_members(rack) {
             self.set_slot_slowdown(engine, factor);
         }
     }
@@ -1453,13 +1434,7 @@ impl Cluster {
     /// partition that would leave the coordinator with no reachable
     /// engine is refused, as is one for a memberless or already-cut rack.
     fn partition_start(&mut self, rack: u32, heal: SimTime, t: SimTime) {
-        let members: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| self.rack_of(s.id) == Some(rack))
-            .map(|(pos, _)| pos)
-            .collect();
+        let members = self.rack_members(rack);
         if members.is_empty() {
             return;
         }
@@ -1482,7 +1457,10 @@ impl Cluster {
         self.stats.fault.partitions += 1;
         self.snap_filled_at = None;
         let mut victims: Vec<Request> = Vec::new();
-        for &pos in &members {
+        for engine in members {
+            let pos = self
+                .pos_of(EngineId(engine))
+                .expect("rack member is present");
             victims.extend(self.slots[pos].engine.evacuate_unfinished(t));
         }
         self.enqueue_victims(victims, t, Some(heal));
@@ -1503,9 +1481,7 @@ impl Cluster {
             return;
         }
         self.snap_filled_at = None;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.push(t, Lane::Coordinator, TraceEvent::PartitionHealed { rack });
-        }
+        self.emit(t, || TraceEvent::PartitionHealed { rack });
     }
 
     /// Sets the straggler slowdown on one engine (moot when it left).
@@ -1515,126 +1491,207 @@ impl Cluster {
         }
     }
 
-    /// Crash-time shard recovery: the dead engine's homed adapters are
-    /// warm-loaded onto their post-crash rendezvous homes among the
-    /// survivors — [`Cluster::handoff_shard`]'s placement, re-counted
-    /// into the fault ledger because here the copies race the backlog's
-    /// re-dispatch instead of a graceful drain.
-    fn recover_shard(&mut self, victim: EngineId, now: SimTime) {
-        let survivors = self.active_weights();
-        if survivors.is_empty() {
-            return;
-        }
-        let vpos = self
-            .slots
-            .iter()
-            .position(|s| s.id == victim)
-            .expect("crashed engine is present");
-        let mut before = survivors.clone();
-        before.push((victim, self.slots[vpos].engine.capacity_weight()));
-        let mut shard: Vec<AdapterId> = self.slots[vpos]
-            .engine
-            .resident_adapters()
-            .into_iter()
-            .collect();
-        shard.sort_unstable();
-        let mut moved = 0u64;
-        let mut bytes_total = 0u64;
-        for a in shard {
-            let home_before = before[policies::rendezvous_home(a, before.iter().copied())].0;
-            if home_before != victim {
-                continue;
-            }
-            let new_home = survivors[policies::rendezvous_home(a, survivors.iter().copied())].0;
-            let pos = self
-                .slots
-                .iter()
-                .position(|s| s.id == new_home)
-                .expect("survivor is present");
-            let slot = &mut self.slots[pos];
-            if let Some(bytes) = slot.engine.warm_load(a, now, &mut slot.out) {
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
-                moved += 1;
-                bytes_total += bytes;
-            }
-        }
-        if moved > 0 {
-            self.stats.fault.shard_adapters_recovered += moved;
-            self.stats.fault.shard_bytes_recovered += bytes_total;
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.push(
-                    now,
-                    Lane::Coordinator,
-                    TraceEvent::ShardRecovered {
-                        from: victim.0,
-                        adapters: moved as u32,
-                        bytes: bytes_total,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Re-dispatches one recovered request through the router, exactly
-    /// like a fresh arrival (snapshots, routing stats, engine handoff) —
-    /// except it bypasses the shedding gate (the system already owes this
-    /// request) and does not feed the forecaster (its adapter's arrival
-    /// was observed once, at the original dispatch).
-    ///
-    /// Under batched dispatch the caller ([`Cluster::fault_barrier`])
-    /// prepares the snapshot generation — reusing the arrival batch's
-    /// when the barrier lands at the same instant — and this routes from
-    /// the cache, echoing its placement like any other batch member.
-    fn dispatch_retry(&mut self, t: SimTime, entry: RetryEntry, last: &mut SimTime) {
-        if self.dispatch.is_none() {
-            self.fill_snapshots();
-        }
-        let decision = self.router.route(&entry.req, &self.snap_buf);
+    /// One routing decision from the snapshot buffer, recorded into the
+    /// routing stats. `hit_now` counts residency at this barrier as the
+    /// affinity hit.
+    fn place(&mut self, req: &Request, hit_now: bool) -> Placement {
+        let decision = self.router.route(req, &self.snap_buf);
         assert!(
             decision.engine < self.snap_buf.len(),
             "router out of bounds"
         );
         let pos = self.snap_slots[decision.engine];
         let chosen = self.slots[pos].id;
-        let affinity_hit = self.slots[pos]
-            .engine
-            .is_adapter_resident(entry.req.adapter());
-        self.stats.record(chosen, affinity_hit, decision.spilled);
+        let resident = self.slots[pos].engine.is_adapter_resident(req.adapter());
+        self.stats
+            .record(chosen, hit_now && resident, decision.spilled);
+        Placement {
+            idx: decision.engine,
+            pos,
+            chosen,
+            spilled: decision.spilled,
+            resident,
+        }
+    }
+
+    /// Echoes a batched placement into the cached snapshot generation so
+    /// later routing decisions from it observe the placement — what keeps
+    /// the bounded-staleness queue-depth error within the batch budget.
+    fn echo(&mut self, idx: usize, req: &Request) {
+        let snap = &mut self.snap_buf[idx];
+        snap.queue_depth += 1;
+        snap.outstanding_tokens += u64::from(req.input_tokens()) + u64::from(req.output_tokens());
+    }
+
+    /// SLO-aware load shedding: when even the least-loaded engine's
+    /// estimated TTFT is past `shed_multiple` × SLO, admitting `req` would
+    /// both miss its own SLO and deepen everyone else's backlog — refuse
+    /// it at the door and count it, rather than time it out silently.
+    /// Under batched dispatch the gate prices against the generation's
+    /// frozen TTFT estimates (echoes bump queue depth and outstanding
+    /// tokens, not the estimate), so a brownout verdict holds for the
+    /// whole batch. Returns whether `req` was shed.
+    fn shed(&mut self, req: &Request) -> bool {
+        let Some(fs) = self.fault.as_ref() else {
+            return false;
+        };
+        let Some(slo) = fs.slo.filter(|_| fs.spec.sheds()) else {
+            return false;
+        };
+        let min_est = self
+            .snap_buf
+            .iter()
+            .map(|s| s.est_ttft_secs)
+            .fold(f64::INFINITY, f64::min);
+        if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
+            let idle = self
+                .snap_buf
+                .iter()
+                .filter(|s| s.queue_depth == 0 && s.running == 0)
+                .count() as u32;
+            let at = req.arrival();
+            self.stats.fault.requests_shed += 1;
+            self.stats.fault.shed_times.push(at);
+            self.emit(at, || TraceEvent::RequestShed {
+                req: req.id().0,
+                est_ttft: SimDuration::from_secs_f64(min_est),
+                idle_engines: idle,
+            });
+            return true;
+        }
+        false
+    }
+
+    /// The routing step both arrival modes share: feeds the forecaster,
+    /// applies the shed gate, places `req` from the snapshot buffer, and
+    /// settles prewarm accounting and the route trace. `None` when shed.
+    fn route_arrival(&mut self, req: &Request, hit_now: bool) -> Option<Placement> {
+        let at = req.arrival();
+        // Control plane: arrival history is observed here, at the
+        // dispatch barrier, on the coordinator — never on worker threads
+        // — so predictions are identical in both modes.
+        if self.predictive.is_some() {
+            self.forecaster.observe(req.adapter(), at);
+        }
+        if self.shed(req) {
+            return None;
+        }
+        let p = self.place(req, hit_now);
+        // A dispatch landing on an engine holding a pre-replicated copy:
+        // the warm paid for itself.
+        let prewarm_hit =
+            p.resident && self.outstanding_warms.get(&req.adapter()) == Some(&p.chosen);
+        if prewarm_hit {
+            self.outstanding_warms.remove(&req.adapter());
+            self.stats.predictive.on_prewarm_hit();
+        }
+        if let Some(tracer) = self.tracer.as_mut() {
+            let candidates = self
+                .snap_buf
+                .iter()
+                .map(|s| (s.id.0, s.outstanding_tokens))
+                .collect();
+            tracer.push(
+                at,
+                Lane::Coordinator,
+                TraceEvent::RouteDecision {
+                    req: req.id().0,
+                    adapter: req.adapter().0,
+                    chosen: p.chosen.0,
+                    spilled: p.spilled,
+                    affinity_hit: p.resident,
+                    candidates,
+                },
+            );
+            if prewarm_hit {
+                tracer.push(
+                    at,
+                    Lane::Coordinator,
+                    TraceEvent::PrewarmHit {
+                        adapter: req.adapter().0,
+                        engine: p.chosen.0,
+                    },
+                );
+            }
+        }
+        Some(p)
+    }
+
+    /// Re-dispatches one recovered request through the router, exactly
+    /// like a fresh arrival (snapshots, routing stats, engine handoff) —
+    /// except that it bypasses the shedding gate (the system already owes
+    /// this request), does not feed the forecaster (its adapter's arrival
+    /// was observed once, at the original dispatch), leaves outstanding
+    /// warms alone (they were issued for forecast demand, which a
+    /// re-dispatch is not), and is traced as `RequestRetried` so the
+    /// stream tells recovery apart from fresh routing.
+    ///
+    /// Under batched dispatch the caller ([`Cluster::fault_barrier`])
+    /// prepares the snapshot generation — reusing the arrival batch's
+    /// when the barrier lands at the same instant — and this routes from
+    /// the cache, echoing its placement like any other batch member.
+    fn dispatch_retry(&mut self, t: SimTime, entry: RetryEntry) {
+        if self.dispatch.is_none() {
+            self.fill_snapshots();
+        }
+        let req = entry.req;
+        let p = self.place(&req, true);
         self.stats.fault.retries += 1;
         if let Some(fs) = self.fault.as_mut() {
             // Close the victim's MTTR episode leg: re-dispatched.
-            if let Some(ep) = fs.victim_episode.remove(&entry.req.id().0) {
+            if let Some(ep) = fs.victim_episode.remove(&req.id().0) {
                 let e = &mut fs.episodes[ep];
                 e.outstanding = e.outstanding.saturating_sub(1);
                 e.redispatch_last = Some(e.redispatch_last.map_or(t, |p| p.max(t)));
             }
         }
         if self.dispatch.is_some() {
-            let snap = &mut self.snap_buf[decision.engine];
-            snap.queue_depth += 1;
-            snap.outstanding_tokens +=
-                u64::from(entry.req.input_tokens()) + u64::from(entry.req.output_tokens());
+            self.echo(p.idx, &req);
         }
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.push(
-                t,
-                Lane::Coordinator,
-                TraceEvent::RequestRetried {
-                    req: entry.req.id().0,
-                    attempt: entry.attempt,
-                    target: chosen.0,
-                },
-            );
+        self.emit(t, || TraceEvent::RequestRetried {
+            req: req.id().0,
+            attempt: entry.attempt,
+            target: p.chosen.0,
+        });
+        self.slots[p.pos].handle(t, EngineEvent::Arrival(req));
+    }
+
+    /// Joins a newcomer built by `grow` at `t`, on the shared periodic
+    /// tick schedule. The factory sees the id the newcomer will be
+    /// registered under (per-engine RNG streams and growth specs key off
+    /// it).
+    fn join_engine(&mut self, t: SimTime, grow: &mut dyn FnMut(EngineId) -> Engine) {
+        let id = self.next_engine_id();
+        let assigned = self.add_engine(grow(id));
+        assert_eq!(assigned, id, "engine id minted twice");
+        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
+        let slot = self.slots.last_mut().expect("engine just added");
+        slot.schedule_ticks(t, mem_int, refresh_int);
+    }
+
+    /// Provisioning faults on a scale-up at `t`: the request can fail
+    /// outright (the controller simply retries on a later tick) or be
+    /// slowed by an injected delay, in which case the engine joins at the
+    /// fault barrier where its provision completes. Returns whether the
+    /// engine joins now.
+    fn provision_now(&mut self, t: SimTime) -> bool {
+        let Some(fs) = self.fault.as_mut() else {
+            return true;
+        };
+        if fs.spec.provision_fail_prob > 0.0 {
+            let roll = fault_roll(fs.spec.seed, PROVISION_STREAM, fs.provision_counter);
+            fs.provision_counter += 1;
+            if roll < fs.spec.provision_fail_prob {
+                self.stats.fault.provision_failures += 1;
+                return false;
+            }
         }
-        let slot = &mut self.slots[pos];
-        slot.engine
-            .handle(t, EngineEvent::Arrival(entry.req), &mut slot.out);
-        for (at, e) in slot.out.drain(..) {
-            slot.queue.push(at, e);
+        if !fs.spec.provision_delay.is_zero() {
+            fs.pending_provisions.push(t + fs.spec.provision_delay);
+            self.stats.fault.provision_delays += 1;
+            return false;
         }
-        *last = (*last).max(t);
+        true
     }
 
     /// Runs `trace` through the (fixed) cluster until drained, serially.
@@ -1716,11 +1773,10 @@ impl Cluster {
     }
 
     /// The epoch loop shared by serial and parallel execution: partition
-    /// the event horizon at the next cross-engine event (arrival or
-    /// autoscaler tick), step every engine's local queue to that
-    /// boundary ([`Cluster::run_epoch`]), then apply the routing or
-    /// scaling decision at the barrier with exclusive access to the
-    /// whole fleet.
+    /// the event horizon at the next cross-engine event (arrival,
+    /// autoscaler tick or fault barrier), step every engine's local queue
+    /// to that boundary ([`Cluster::run_epoch`]), then hand the barrier to
+    /// its handler, which has exclusive access to the whole fleet.
     ///
     /// Simultaneous events follow a fixed precedence both modes share:
     /// arrivals (in trace order), then the autoscaler tick, then
@@ -1741,21 +1797,20 @@ impl Cluster {
         let reqs = trace.requests();
         let mut order: Vec<u32> = (0..reqs.len() as u32).collect();
         order.sort_by_key(|&i| reqs[i as usize].arrival());
-        let mem_int = self.mem_int;
-        let refresh_int = self.refresh_int;
+        let mut run = RunState {
+            reqs,
+            order,
+            next: 0,
+            last: SimTime::ZERO,
+            processed: 0,
+        };
+        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
         for slot in &mut self.slots {
             slot.begin_run(mem_int, refresh_int);
         }
         let mut next_scale = scale
             .as_ref()
             .map(|(autoscaler, _)| SimTime::ZERO + autoscaler.config().interval);
-        let mut next_arr = 0usize;
-        // `last` (the reported horizon) advances on arrivals and
-        // live-engine events only, so a trailing controller tick cannot
-        // inflate it; stale events of retired engines count toward
-        // neither `last` nor the processed total.
-        let mut last = SimTime::ZERO;
-        let mut processed: u64 = 0;
         // Amortised dispatch: the effective `(batch size, age)` budget —
         // the router's declared staleness class tightened by the spec.
         // `None` runs the legacy one-barrier-per-arrival path untouched.
@@ -1771,7 +1826,7 @@ impl Cluster {
         // periodic ticks alive exactly as undispatched arrivals would.
         let mut batch_until: Option<SimTime> = None;
         loop {
-            let arr_t = order.get(next_arr).map(|&i| reqs[i as usize].arrival());
+            let arr_t = run.peek().map(|r| r.arrival());
             let fault_t = self.next_fault_time();
             // The next cross-engine event. Equal-time ties resolve by the
             // fixed [`CrossEvent`] class precedence (arrivals, then the
@@ -1800,391 +1855,191 @@ impl Cluster {
                 batch_until.take(),
                 pool,
             );
-            self.harvest_retired(&mut last, &mut processed);
+            self.harvest_retired(&mut run);
             let Some((t, kind)) = cross else {
                 break; // final epoch drained every local queue
             };
-            if kind == CrossEvent::Fault {
-                processed += 1;
-                self.fault_barrier(t, &mut last, &mut processed, &mut scale);
-            } else if kind == CrossEvent::Arrival && budget.is_some() {
-                // Amortised dispatch: open one snapshot generation at
-                // this barrier and route every coalescible arrival from
-                // it — the run of consecutive arrivals up to the next
-                // non-coalescible cross event (autoscaler tick or fault
-                // barrier; inclusive, since the arrival class wins an
-                // equal-time tie) and within the staleness budget's size
-                // and age caps. Routed placements land in per-engine
-                // queues and are handled *inside* the next epoch at
-                // their own arrival instants; sheds stay coordinator
-                // events. Delivered members count into `processed` at
-                // delivery (`EngineSlot::step_to`), sheds here — the
-                // same totals per-arrival dispatch produces.
-                let (max_batch, max_age) = budget.expect("budget checked");
-                let limit = match (next_scale, fault_t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                self.refresh_snapshots(t);
-                let generation = self.snap_gen;
-                let mut size: u32 = 0;
-                let mut batch_end = t;
-                while let Some(&idx) = order.get(next_arr) {
-                    let req = reqs[idx as usize];
-                    let ta = req.arrival();
-                    if size > 0
-                        && (limit.is_some_and(|l| ta > l)
-                            || size >= max_batch
-                            || ta.saturating_since(t) > max_age)
-                    {
-                        break;
-                    }
-                    next_arr += 1;
-                    size += 1;
-                    batch_end = ta;
-                    last = last.max(ta);
-                    if self.predictive.is_some() {
-                        self.forecaster.observe(req.adapter(), ta);
-                    }
-                    // The shedding gate prices against the generation's
-                    // frozen TTFT estimates (echoes bump queue depth and
-                    // outstanding tokens, not the estimate), so a
-                    // brownout verdict holds for the whole batch.
-                    if let Some(fs) = self.fault.as_ref() {
-                        if fs.spec.sheds() {
-                            if let Some(slo) = fs.slo {
-                                let min_est = self
-                                    .snap_buf
-                                    .iter()
-                                    .map(|s| s.est_ttft_secs)
-                                    .fold(f64::INFINITY, f64::min);
-                                if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
-                                    let idle =
-                                        self.snap_buf
-                                            .iter()
-                                            .filter(|s| s.queue_depth == 0 && s.running == 0)
-                                            .count() as u32;
-                                    self.stats.fault.requests_shed += 1;
-                                    self.stats.fault.shed_times.push(ta);
-                                    processed += 1;
-                                    if let Some(tracer) = self.tracer.as_mut() {
-                                        tracer.push(
-                                            ta,
-                                            Lane::Coordinator,
-                                            TraceEvent::RequestShed {
-                                                req: req.id().0,
-                                                est_ttft: SimDuration::from_secs_f64(min_est),
-                                                idle_engines: idle,
-                                            },
-                                        );
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let decision = self.router.route(&req, &self.snap_buf);
-                    assert!(
-                        decision.engine < self.snap_buf.len(),
-                        "router out of bounds"
-                    );
-                    let pos = self.snap_slots[decision.engine];
-                    let chosen = self.slots[pos].id;
-                    // Residency as of the generation barrier. The stats
-                    // affinity-hit counter is measured at delivery time
-                    // inside the slot (`EngineSlot::arrival_hits`) —
-                    // the same measurement point per-arrival dispatch
-                    // uses — so the generation view here drives only
-                    // prewarm accounting and the trace.
-                    let resident = self.slots[pos].engine.is_adapter_resident(req.adapter());
-                    self.stats.record(chosen, false, decision.spilled);
-                    let mut prewarm_hit = false;
-                    if resident && self.outstanding_warms.get(&req.adapter()) == Some(&chosen) {
-                        self.outstanding_warms.remove(&req.adapter());
-                        self.stats.predictive.on_prewarm_hit();
-                        prewarm_hit = true;
-                    }
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        let candidates: Vec<(u32, u64)> = self
-                            .snap_buf
-                            .iter()
-                            .map(|s| (s.id.0, s.outstanding_tokens))
-                            .collect();
-                        tracer.push(
-                            ta,
-                            Lane::Coordinator,
-                            TraceEvent::RouteDecision {
-                                req: req.id().0,
-                                adapter: req.adapter().0,
-                                chosen: chosen.0,
-                                spilled: decision.spilled,
-                                affinity_hit: resident,
-                                candidates,
-                            },
-                        );
-                        if prewarm_hit {
-                            tracer.push(
-                                ta,
-                                Lane::Coordinator,
-                                TraceEvent::PrewarmHit {
-                                    adapter: req.adapter().0,
-                                    engine: chosen.0,
-                                },
-                            );
-                        }
-                    }
-                    // Echo the placement into the cached generation so
-                    // later batch members observe it — what keeps the
-                    // bounded-staleness queue-depth error within the
-                    // batch budget.
-                    let snap = &mut self.snap_buf[decision.engine];
-                    snap.queue_depth += 1;
-                    snap.outstanding_tokens +=
-                        u64::from(req.input_tokens()) + u64::from(req.output_tokens());
-                    self.slots[pos].arrivals.push_back((ta, req));
+            match kind {
+                CrossEvent::Arrival => {
+                    // A batch may run up to the next non-arrival cross
+                    // event, inclusive: arrivals win an equal-time tie.
+                    let limit = [next_scale, fault_t].into_iter().flatten().min();
+                    batch_until = self.arrival_barrier(t, &mut run, budget, limit);
                 }
-                self.stats.dispatch.on_batch(u64::from(size));
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer.push(
-                        t,
-                        Lane::Coordinator,
-                        TraceEvent::DispatchBatch {
-                            generation,
-                            size,
-                            span: batch_end.saturating_since(t),
-                        },
-                    );
+                CrossEvent::Scale => {
+                    run.processed += 1;
+                    let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
+                    next_scale = self.scale_barrier(t, autoscaler, &mut **grow, &mut run);
                 }
-                self.pre_replicate(t);
-                batch_until = Some(batch_end);
-            } else if kind == CrossEvent::Arrival {
-                processed += 1;
-                let req = reqs[order[next_arr] as usize];
-                next_arr += 1;
-                last = last.max(t);
-                // Control plane: arrival history is observed here, at the
-                // dispatch barrier, on the coordinator — never on worker
-                // threads — so predictions are identical in both modes.
-                if self.predictive.is_some() {
-                    self.forecaster.observe(req.adapter(), t);
+                CrossEvent::Fault => {
+                    run.processed += 1;
+                    self.fault_barrier(t, &mut run, &mut scale);
                 }
-                // Global scheduler: delegate placement to the router.
-                self.fill_snapshots();
-                // SLO-aware load shedding: when even the least-loaded
-                // engine's estimated TTFT is past `shed_multiple` × SLO,
-                // admitting this request would both miss its own SLO and
-                // deepen everyone else's backlog — refuse it at the door
-                // and count it, rather than time it out silently.
-                if let Some(fs) = self.fault.as_ref() {
-                    if fs.spec.sheds() {
-                        if let Some(slo) = fs.slo {
-                            let min_est = self
-                                .snap_buf
-                                .iter()
-                                .map(|s| s.est_ttft_secs)
-                                .fold(f64::INFINITY, f64::min);
-                            if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
-                                let idle = self
-                                    .snap_buf
-                                    .iter()
-                                    .filter(|s| s.queue_depth == 0 && s.running == 0)
-                                    .count() as u32;
-                                self.stats.fault.requests_shed += 1;
-                                self.stats.fault.shed_times.push(t);
-                                if let Some(tracer) = self.tracer.as_mut() {
-                                    tracer.push(
-                                        t,
-                                        Lane::Coordinator,
-                                        TraceEvent::RequestShed {
-                                            req: req.id().0,
-                                            est_ttft: SimDuration::from_secs_f64(min_est),
-                                            idle_engines: idle,
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                let decision = self.router.route(&req, &self.snap_buf);
-                assert!(
-                    decision.engine < self.snap_buf.len(),
-                    "router out of bounds"
-                );
-                let pos = self.snap_slots[decision.engine];
-                let chosen = self.slots[pos].id;
-                let affinity_hit = self.slots[pos].engine.is_adapter_resident(req.adapter());
-                self.stats.record(chosen, affinity_hit, decision.spilled);
-                let mut prewarm_hit = false;
-                if affinity_hit && self.outstanding_warms.get(&req.adapter()) == Some(&chosen) {
-                    // The dispatch landed on an engine holding a
-                    // pre-replicated copy: the warm paid for itself.
-                    self.outstanding_warms.remove(&req.adapter());
-                    self.stats.predictive.on_prewarm_hit();
-                    prewarm_hit = true;
-                }
-                if let Some(tracer) = self.tracer.as_mut() {
-                    let candidates: Vec<(u32, u64)> = self
-                        .snap_buf
-                        .iter()
-                        .map(|s| (s.id.0, s.outstanding_tokens))
-                        .collect();
-                    tracer.push(
-                        t,
-                        Lane::Coordinator,
-                        TraceEvent::RouteDecision {
-                            req: req.id().0,
-                            adapter: req.adapter().0,
-                            chosen: chosen.0,
-                            spilled: decision.spilled,
-                            affinity_hit,
-                            candidates,
-                        },
-                    );
-                    if prewarm_hit {
-                        tracer.push(
-                            t,
-                            Lane::Coordinator,
-                            TraceEvent::PrewarmHit {
-                                adapter: req.adapter().0,
-                                engine: chosen.0,
-                            },
-                        );
-                    }
-                }
-                let slot = &mut self.slots[pos];
-                slot.engine
-                    .handle(t, EngineEvent::Arrival(req), &mut slot.out);
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
-                self.pre_replicate(t);
-            } else {
-                processed += 1;
-                let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
-                self.fill_snapshots();
-                let signal = self.forecast_signal(t, autoscaler.config().interval);
-                let draining = self.slots.len() - self.snap_buf.len();
-                let action = autoscaler.decide_with(t, &self.snap_buf, draining, &signal);
-                let trigger = match autoscaler.last_trigger() {
-                    Some(ScaleTrigger::SloEstimate) => "slo-estimate",
-                    Some(ScaleTrigger::Forecast) => "forecast",
-                    _ => "queue-depth",
-                };
-                match action {
-                    ScaleAction::Hold => {}
-                    ScaleAction::ScaleUp => {
-                        // Provisioning faults: a scale-up can fail outright
-                        // (the controller simply retries on a later tick)
-                        // or be slowed by an injected delay, in which case
-                        // the engine joins at the fault barrier where its
-                        // provision completes.
-                        let mut skip_add = false;
-                        if let Some(fs) = self.fault.as_mut() {
-                            if fs.spec.provision_fail_prob > 0.0 {
-                                let roll = fault_roll(
-                                    fs.spec.seed,
-                                    PROVISION_STREAM,
-                                    fs.provision_counter,
-                                );
-                                fs.provision_counter += 1;
-                                if roll < fs.spec.provision_fail_prob {
-                                    self.stats.fault.provision_failures += 1;
-                                    skip_add = true;
-                                }
-                            }
-                            if !skip_add && !fs.spec.provision_delay.is_zero() {
-                                fs.pending_provisions.push(t + fs.spec.provision_delay);
-                                self.stats.fault.provision_delays += 1;
-                                skip_add = true;
-                            }
-                        }
-                        if skip_add {
-                            let work_left = next_arr < order.len()
-                                || self.slots.iter().any(|s| s.engine.has_work());
-                            next_scale = work_left.then(|| t + autoscaler.config().interval);
-                            continue;
-                        }
-                        // The factory sees the id the newcomer will be
-                        // registered under (per-engine RNG streams and
-                        // growth specs key off it).
-                        let id = self.next_engine_id();
-                        let engine = grow(id);
-                        let assigned = self.add_engine(engine);
-                        assert_eq!(assigned, id, "engine id minted twice");
-                        // The newcomer joins the shared tick schedule.
-                        let slot = self.slots.last_mut().expect("engine just added");
-                        slot.queue.push(t + mem_int, EngineEvent::MemSample);
-                        slot.queue.push(t + refresh_int, EngineEvent::Refresh);
-                        if self.predictive.is_some() {
-                            match autoscaler.last_trigger() {
-                                Some(ScaleTrigger::SloEstimate) => {
-                                    self.stats.predictive.slo_scaleups += 1;
-                                }
-                                Some(ScaleTrigger::Forecast) => {
-                                    self.stats.predictive.forecast_scaleups += 1;
-                                }
-                                _ => {}
-                            }
-                        }
-                        if let Some(tracer) = self.tracer.as_mut() {
-                            tracer.push(
-                                t,
-                                Lane::Coordinator,
-                                TraceEvent::AutoscaleTrigger {
-                                    action: AutoscaleAction::ScaleUp,
-                                    trigger,
-                                },
-                            );
-                        }
-                    }
-                    ScaleAction::Drain(victim) => {
-                        if self.drain_engine(victim) {
-                            if let Some(tracer) = self.tracer.as_mut() {
-                                tracer.push(
-                                    t,
-                                    Lane::Coordinator,
-                                    TraceEvent::AutoscaleTrigger {
-                                        action: AutoscaleAction::Drain(victim.0),
-                                        trigger,
-                                    },
-                                );
-                                tracer.push(
-                                    t,
-                                    Lane::Coordinator,
-                                    TraceEvent::DrainStarted { engine: victim.0 },
-                                );
-                            }
-                            if self.predictive.is_some_and(|s| s.handoff) {
-                                self.handoff_shard(victim, t);
-                            }
-                            let pos = self
-                                .slots
-                                .iter()
-                                .position(|s| s.id == victim)
-                                .expect("drained engine is present");
-                            if !self.slots[pos].engine.has_work() {
-                                self.retire_slot(pos, &mut last, &mut processed);
-                            }
-                        }
-                    }
-                }
-                let work_left =
-                    next_arr < order.len() || self.slots.iter().any(|s| s.engine.has_work());
-                next_scale = work_left.then(|| t + autoscaler.config().interval);
             }
         }
         // Fold the run counters of the engines still in the fleet
         // (retired engines folded at retirement).
         for slot in &mut self.slots {
-            processed += slot.processed;
-            last = last.max(slot.last);
+            run.processed += slot.processed;
+            run.last = run.last.max(slot.last);
             self.stats.affinity_hits += slot.arrival_hits;
             slot.arrival_hits = 0;
         }
-        self.events_processed += processed;
-        last
+        self.events_processed += run.processed;
+        run.last
+    }
+
+    /// An arrival barrier at `t`. Without a [`DispatchSpec`] it routes the
+    /// one arrival due at `t` and hands it to its engine here. Batched
+    /// dispatch opens one snapshot generation and routes from it every
+    /// coalescible arrival — the run of consecutive arrivals up to `limit`
+    /// (inclusive) within the staleness `budget`'s size and age caps.
+    /// Routed members land in per-engine queues and are handled *inside*
+    /// the next epoch at their own arrival instants. Returns the batch's
+    /// last arrival instant (batched only).
+    ///
+    /// Per-arrival dispatch is not a batch of one: delivering through
+    /// `EngineSlot::arrivals` would move its handling into the next epoch
+    /// and change the `BarrierClose` step counts, the `DispatchBatch`
+    /// events, the dispatch stats and the epoch count.
+    fn arrival_barrier(
+        &mut self,
+        t: SimTime,
+        run: &mut RunState<'_>,
+        budget: Option<(u32, SimDuration)>,
+        limit: Option<SimTime>,
+    ) -> Option<SimTime> {
+        let Some((max_batch, max_age)) = budget else {
+            let req = run.peek().expect("arrival barrier without an arrival");
+            run.next += 1;
+            // Per-arrival dispatch counts the arrival into `processed`
+            // here, at its barrier, placed or shed: its engine handles it
+            // now, outside any epoch.
+            run.processed += 1;
+            run.last = run.last.max(t);
+            self.fill_snapshots();
+            // Residency at this barrier is the affinity hit, because the
+            // engine receives the request at this very instant. A shed
+            // arrival returns before `pre_replicate`: the scan throttle
+            // (`next_scan`) restarts at every scan, so scanning at a shed
+            // barrier would move every later scan and warm.
+            let p = self.route_arrival(&req, true)?;
+            self.slots[p.pos].handle(t, EngineEvent::Arrival(req));
+            self.pre_replicate(t);
+            return None;
+        };
+        self.refresh_snapshots(t);
+        let generation = self.snap_gen;
+        let mut size: u32 = 0;
+        let mut batch_end = t;
+        while let Some(req) = run.peek() {
+            let ta = req.arrival();
+            if size > 0
+                && (limit.is_some_and(|l| ta > l)
+                    || size >= max_batch
+                    || ta.saturating_since(t) > max_age)
+            {
+                break;
+            }
+            run.next += 1;
+            size += 1;
+            batch_end = ta;
+            run.last = run.last.max(ta);
+            // Batched members record no affinity hit here: the slot
+            // measures residency at delivery (`EngineSlot::arrival_hits`),
+            // the point per-arrival dispatch measures it, and the count is
+            // harvested into the stats at retirement or run end.
+            match self.route_arrival(&req, false) {
+                // Sheds stay coordinator events and count into
+                // `processed` here; placed members count at delivery in
+                // `EngineSlot::step_to` — the same totals per-arrival
+                // dispatch produces.
+                None => run.processed += 1,
+                Some(p) => {
+                    self.echo(p.idx, &req);
+                    self.slots[p.pos].arrivals.push_back((ta, req));
+                }
+            }
+        }
+        self.stats.dispatch.on_batch(u64::from(size));
+        self.emit(t, || TraceEvent::DispatchBatch {
+            generation,
+            size,
+            span: batch_end.saturating_since(t),
+        });
+        self.pre_replicate(t);
+        Some(batch_end)
+    }
+
+    /// An autoscaler barrier: evaluates the fleet at `t` and applies the
+    /// decision. Returns the next evaluation instant, `None` once neither
+    /// arrivals nor engine work remain.
+    fn scale_barrier(
+        &mut self,
+        t: SimTime,
+        autoscaler: &mut Autoscaler,
+        grow: &mut dyn FnMut(EngineId) -> Engine,
+        run: &mut RunState<'_>,
+    ) -> Option<SimTime> {
+        self.fill_snapshots();
+        let signal = self.forecast_signal(t, autoscaler.config().interval);
+        let draining = self.slots.len() - self.snap_buf.len();
+        let action = autoscaler.decide_with(t, &self.snap_buf, draining, &signal);
+        let fired = autoscaler.last_trigger();
+        let trigger = match fired {
+            Some(ScaleTrigger::SloEstimate) => "slo-estimate",
+            Some(ScaleTrigger::Forecast) => "forecast",
+            _ => "queue-depth",
+        };
+        match action {
+            ScaleAction::Hold => {}
+            ScaleAction::ScaleUp => {
+                if self.provision_now(t) {
+                    self.join_engine(t, grow);
+                    if self.predictive.is_some() {
+                        match fired {
+                            Some(ScaleTrigger::SloEstimate) => {
+                                self.stats.predictive.slo_scaleups += 1
+                            }
+                            Some(ScaleTrigger::Forecast) => {
+                                self.stats.predictive.forecast_scaleups += 1
+                            }
+                            _ => {}
+                        }
+                    }
+                    self.emit(t, || TraceEvent::AutoscaleTrigger {
+                        action: AutoscaleAction::ScaleUp,
+                        trigger,
+                    });
+                }
+            }
+            ScaleAction::Drain(victim) => {
+                if self.drain_engine(victim) {
+                    self.emit(t, || TraceEvent::AutoscaleTrigger {
+                        action: AutoscaleAction::Drain(victim.0),
+                        trigger,
+                    });
+                    self.emit(t, || TraceEvent::DrainStarted { engine: victim.0 });
+                    if self.predictive.is_some_and(|s| s.handoff) {
+                        let (moved, bytes) = self.warm_shard(victim, t);
+                        if moved > 0 {
+                            self.stats.predictive.on_handoff(moved, bytes);
+                            self.emit(t, || TraceEvent::Handoff {
+                                from: victim.0,
+                                adapters: moved as u32,
+                                bytes,
+                            });
+                        }
+                    }
+                    let pos = self.pos_of(victim).expect("drained engine is present");
+                    if !self.slots[pos].engine.has_work() {
+                        self.retire_slot(pos, run);
+                    }
+                }
+            }
+        }
+        let work_left = run.peek().is_some() || self.slots.iter().any(|s| s.engine.has_work());
+        work_left.then(|| t + autoscaler.config().interval)
     }
 
     /// Total completed requests across live and retired engines.
