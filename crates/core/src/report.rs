@@ -56,8 +56,9 @@ pub struct RunReport {
     /// from [`canonical_text`](RunReport::canonical_text) — unless the
     /// run armed a `KvSpec`.
     pub kv: KvStats,
-    /// Simulation events processed by the driver (throughput denominator
-    /// for the benchmark harness's events/sec).
+    /// Simulation events processed by the engine event loop, summed over
+    /// engines (throughput denominator for the benchmark harness's
+    /// events/sec).
     pub events_processed: u64,
     /// The merged deterministic decision stream, present only when the
     /// system opted into tracing ([`SystemConfig::trace`]). Never feeds

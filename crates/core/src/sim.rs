@@ -244,7 +244,7 @@ impl Simulation {
             if tracing {
                 engine.enable_tracing();
             }
-            let (last, events) = driver::run_engine_counted(&mut engine, trace);
+            let (mut engine, last, events) = driver::run_engine(engine, trace);
             // A lone engine is lane 0, matching its cluster EngineId.
             let log = tracing.then(|| {
                 let mut buf = TraceBuffer::new();

@@ -36,11 +36,14 @@
 //! (step completions, adapter loads, periodic ticks, pokes), and an
 //! engine's local events can only ever schedule more events *for the
 //! same engine*. The run is therefore a sequence of **epochs**: each
-//! engine owns a local [`EventQueue`] and steps it up to (strictly
-//! before) the next cross-engine instant, after which the coordinator
-//! applies the routing or autoscaling decision at the **barrier** with
-//! exclusive access to every engine, exactly as the old single-heap loop
-//! would have.
+//! engine owns a local [`chameleon_simcore::EventQueue`] and steps it up
+//! to (strictly before) the next cross-engine instant, after which the
+//! coordinator applies the routing or autoscaling decision at the
+//! **barrier** with exclusive access to every engine, exactly as the old
+//! single-heap loop would have. The per-engine stepper
+//! (`EngineSlot::step_to`, in [`crate::driver`]) is the only engine
+//! event loop: a single-engine run is one slot stepped through one
+//! unbounded epoch, with the trace delivered as one arrival batch.
 //!
 //! Because engine state is thread-confined between barriers (the
 //! zero-alloc scratch from the hot-path overhaul lives inside each
@@ -55,6 +58,7 @@
 
 use crate::autoscaler::{Autoscaler, ForecastSignal, ScaleAction, ScaleTrigger};
 use crate::dispatch::DispatchSpec;
+use crate::driver::{EngineSlot, EpochCmd};
 use crate::engine::{Engine, EngineEvent};
 use crate::predictive::PredictiveSpec;
 use crate::report::EngineReport;
@@ -66,10 +70,10 @@ use chameleon_router::{
     policies, EngineId, EngineSnapshot, JoinShortestQueue, Router, StalenessClass,
 };
 use chameleon_simcore::shard::{self, ShardPool};
-use chameleon_simcore::{EventQueue, SimDuration, SimTime};
+use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_trace::{AutoscaleAction, BarrierProfile, Lane, TraceBuffer, TraceEvent, TraceLog};
 use chameleon_workload::{Request, Trace};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Counter-hash stream for provisioning-fault rolls. Engine PCIe streams
@@ -108,28 +112,6 @@ impl ClusterExecution {
             ClusterExecution::Parallel { workers } => workers,
         }
     }
-}
-
-/// The per-epoch command the coordinator hands every engine stepper.
-#[derive(Debug, Clone, Copy)]
-struct EpochCmd {
-    /// Step local events with time strictly below this; `None` drains
-    /// everything (no cross-engine event is pending). Simultaneous
-    /// events at the boundary instant belong to the *next* epoch: the
-    /// cross event (arrival or autoscaler tick) wins equal-time ties.
-    boundary: Option<SimTime>,
-    /// Whether undispatched arrivals remain anywhere in the trace —
-    /// constant within an epoch, and the condition keeping periodic
-    /// ticks alive on idle engines.
-    arrivals_remaining: bool,
-    /// Batched dispatch only: the last arrival instant of the in-flight
-    /// batch being delivered this epoch. Periodic ticks at `t <
-    /// batch_until` stay alive even when `arrivals_remaining` is false —
-    /// exactly the ticks per-arrival dispatch would have kept because it
-    /// had not consumed those arrivals yet.
-    batch_until: Option<SimTime>,
-    mem_int: SimDuration,
-    refresh_int: SimDuration,
 }
 
 /// The class of the next cross-engine event. Simultaneous cross events
@@ -242,183 +224,6 @@ struct FaultState {
     /// Victim request id → index into `episodes` (latest extraction wins;
     /// removed when the victim re-dispatches).
     victim_episode: HashMap<u64, usize>,
-}
-
-/// One engine plus its cluster-lifecycle state and its shard of the
-/// event horizon (the engine-local future-event queue).
-struct EngineSlot {
-    id: EngineId,
-    /// Draining engines accept no new dispatches; they finish their
-    /// queued and running work and are then retired.
-    draining: bool,
-    /// Set by the epoch stepper the moment a draining engine runs out of
-    /// work: the coordinator retires the slot at the next barrier.
-    retire_ready: bool,
-    engine: Engine,
-    /// Engine-local future events. Only this slot's stepper (during an
-    /// epoch) and the coordinator (at barriers) touch it.
-    queue: EventQueue<EngineEvent>,
-    /// Reused `Engine::handle` output buffer, thread-confined with its
-    /// slot.
-    out: Vec<(SimTime, EngineEvent)>,
-    /// Events this slot processed during the current run.
-    processed: u64,
-    /// Instant of this slot's last processed event this run.
-    last: SimTime,
-    /// Batched dispatch only: arrivals the coordinator routed here at
-    /// the last batch barrier, in arrival order, delivered by `step_to`
-    /// interleaved with local events (arrival wins an equal-time tie —
-    /// the same order per-arrival dispatch produces, where the arrival
-    /// is handled at its barrier and same-instant local events wait for
-    /// the next epoch). Kept separate from the event queue because the
-    /// queue breaks same-instant ties by insertion order, which would
-    /// put pre-existing same-time events *before* the arrival.
-    arrivals: VecDeque<(SimTime, Request)>,
-    /// Adapter-resident-at-delivery count for batched arrivals. The
-    /// residency state at delivery (all local events strictly before the
-    /// arrival instant applied) is exactly what the per-arrival path
-    /// measures at its dispatch barrier, so harvesting this into
-    /// `RoutingStats::affinity_hits` keeps batched dispatch
-    /// byte-identical to per-arrival for state-independent routers.
-    arrival_hits: u64,
-}
-
-impl EngineSlot {
-    fn new(id: EngineId, draining: bool, engine: Engine) -> Self {
-        EngineSlot {
-            id,
-            draining,
-            retire_ready: false,
-            engine,
-            queue: EventQueue::with_capacity(32),
-            out: Vec::new(),
-            processed: 0,
-            last: SimTime::ZERO,
-            arrivals: VecDeque::new(),
-            arrival_hits: 0,
-        }
-    }
-
-    /// Resets the per-run state and schedules the first periodic ticks
-    /// (the queue is always empty between runs: a run returns only after
-    /// every local queue drained or was cleared by retirement).
-    fn begin_run(&mut self, mem_int: SimDuration, refresh_int: SimDuration) {
-        debug_assert!(self.queue.is_empty());
-        debug_assert!(self.arrivals.is_empty());
-        debug_assert_eq!(self.arrival_hits, 0, "hits harvested at run end");
-        self.processed = 0;
-        self.last = SimTime::ZERO;
-        self.retire_ready = false;
-        self.schedule_ticks(SimTime::ZERO, mem_int, refresh_int);
-    }
-
-    /// Joins the shared periodic-tick schedule from instant `from`.
-    fn schedule_ticks(&mut self, from: SimTime, mem_int: SimDuration, refresh_int: SimDuration) {
-        self.queue.push(from + mem_int, EngineEvent::MemSample);
-        self.queue.push(from + refresh_int, EngineEvent::Refresh);
-    }
-
-    /// Hands `ev` to the engine at `t` and queues the local events it
-    /// schedules.
-    fn handle(&mut self, t: SimTime, ev: EngineEvent) {
-        self.engine.handle(t, ev, &mut self.out);
-        for (at, e) in self.out.drain(..) {
-            self.queue.push(at, e);
-        }
-    }
-
-    /// Starts a warm transfer of `adapter` into this engine at `now` and
-    /// queues its completion; the transferred bytes, or `None` when the
-    /// engine skipped the warm (already resident, or no room).
-    fn warm(&mut self, adapter: AdapterId, now: SimTime) -> Option<u64> {
-        let bytes = self.engine.warm_load(adapter, now, &mut self.out)?;
-        for (at, e) in self.out.drain(..) {
-            self.queue.push(at, e);
-        }
-        Some(bytes)
-    }
-
-    /// True when this slot has a local event due before `boundary` or an
-    /// undelivered batched arrival (the coordinator guarantees every
-    /// routed arrival lands at or before the boundary).
-    fn has_pending(&self, boundary: Option<SimTime>) -> bool {
-        !self.arrivals.is_empty()
-            || match self.queue.peek_time() {
-                Some(t) => boundary.is_none_or(|b| t < b),
-                None => false,
-            }
-    }
-
-    /// Steps this engine's local events up to the epoch boundary. This is
-    /// the per-shard body of both execution modes; it touches nothing
-    /// outside the slot, which is what makes parallel stepping sound and
-    /// bit-identical to serial.
-    fn step_to(&mut self, cmd: &EpochCmd) {
-        loop {
-            // Batched dispatch: deliver routed arrivals interleaved with
-            // local events, arrival first on an equal-time tie — the
-            // exact order the per-arrival path produces (arrival handled
-            // at its barrier, same-instant local events in the next
-            // epoch). Every pending arrival is at or before the epoch
-            // boundary by construction, so none survives the epoch.
-            let next_arrival = self.arrivals.front().map(|&(ta, _)| ta);
-            let next_local = self.queue.peek_time();
-            let deliver = match (next_arrival, next_local) {
-                (Some(ta), Some(tl)) => ta <= tl,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if deliver {
-                let (ta, req) = self.arrivals.pop_front().expect("peeked arrival");
-                if self.engine.is_adapter_resident(req.adapter()) {
-                    self.arrival_hits += 1;
-                }
-                self.handle(ta, EngineEvent::Arrival(req));
-                self.processed += 1;
-                self.last = ta;
-                continue;
-            }
-            let Some(t) = next_local else { break };
-            if let Some(b) = cmd.boundary {
-                if t >= b {
-                    break;
-                }
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            let reschedule = match &ev {
-                EngineEvent::MemSample => Some((t + cmd.mem_int, EngineEvent::MemSample)),
-                EngineEvent::Refresh => Some((t + cmd.refresh_int, EngineEvent::Refresh)),
-                _ => None,
-            };
-            self.handle(t, ev);
-            if let Some((at, e)) = reschedule {
-                // Keep periodic ticks alive while dispatches remain —
-                // including batch members not yet delivered (`t <
-                // batch_until`), which per-arrival dispatch would still
-                // count as remaining arrivals at this instant.
-                if cmd.arrivals_remaining
-                    || cmd.batch_until.is_some_and(|u| t < u)
-                    || self.engine.has_work()
-                {
-                    self.queue.push(at, e);
-                }
-            }
-            self.processed += 1;
-            self.last = t;
-            if self.draining && !self.engine.has_work() {
-                // A drained engine retires the moment it goes idle; its
-                // remaining events (stale periodic ticks) are exactly the
-                // ones the single-heap loop would pop and drop later.
-                self.retire_ready = true;
-                self.queue.clear();
-                break;
-            }
-        }
-        debug_assert!(
-            self.arrivals.is_empty(),
-            "batched arrivals must drain within their epoch"
-        );
-    }
 }
 
 /// A data-parallel group of engines behind a global dispatcher.
@@ -2158,7 +1963,7 @@ mod tests {
     use chameleon_predictor::OraclePredictor;
     use chameleon_router::{AdapterAffinity, RouterPolicy};
     use chameleon_sched::{FifoScheduler, WrsConfig};
-    use chameleon_simcore::SimRng;
+    use chameleon_simcore::{EventQueue, SimRng};
     use chameleon_workload::{ArrivalModel, LengthModel, TraceGenerator};
 
     fn cluster_and_trace(n_engines: usize, n_reqs: usize) -> (Cluster, Trace) {

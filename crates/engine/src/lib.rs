@@ -20,7 +20,9 @@
 //!   blocked request's memory frees early, and squashes the youngest
 //!   running request if KV growth hits an out-of-memory condition.
 //!
-//! [`driver::run_engine`] drives a single engine through a trace;
+//! [`driver::run_engine`] drives a single engine through a trace — one
+//! engine slot stepped through one unbounded epoch, with the trace
+//! delivered as one arrival batch;
 //! [`cluster::Cluster`] runs N data-parallel engines behind the paper's
 //! two-level (global + local) scheduler (§4.4). The global level is
 //! delegated to the `chameleon_router` subsystem: each arrival is routed
