@@ -16,9 +16,10 @@
 //! exactly where they are.
 
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, RunReport, SystemConfig,
-    TraceSpec,
+    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, KvSpec, RunReport,
+    SystemConfig, TraceSpec,
 };
+use chameleon_repro::models::GpuSpec;
 use chameleon_repro::simcore::{SimDuration, SimTime};
 use chameleon_repro::workload::Trace;
 
@@ -110,6 +111,10 @@ fn gridded(sim: &Simulation, seed: u64) -> Trace {
         .map(|r| r.with_arrival(SimTime::from_nanos(r.arrival().as_nanos() / GRID * GRID)))
         .collect();
     Trace::new(reqs)
+}
+
+fn partition_load(sim: &Simulation, seed: u64) -> Trace {
+    workloads::splitwise(16.0, 15.0, seed, sim.pool())
 }
 
 fn bursty(sim: &Simulation, seed: u64) -> Trace {
@@ -245,5 +250,35 @@ fn elastic_provisioning_is_frozen() {
         assert!(f.provision_delays > 0, "no provision was delayed");
         assert!(r.routing.engines_added > 0, "the fleet never grew");
         assert!(p.handoff_adapters > 0, "no drain handed its shard off");
+    }
+}
+
+/// A coordinator↔rack partition on KV-guarded engines cut to 16 GiB:
+/// the dark rack's engines evacuate their running, demoted and
+/// restoring work, which re-dispatches around the partition.
+#[test]
+fn partition_is_frozen() {
+    let cfg = preset::chameleon_cluster_domains(4)
+        .with_fault(FaultSpec::new().with_partition(
+            1,
+            SimTime::from_secs_f64(5.0),
+            SimTime::from_secs_f64(9.0),
+        ))
+        .with_kv(KvSpec::new().with_pressure_threshold(0.5))
+        .with_gpu(GpuSpec::a40().with_memory_bytes(16 << 30));
+    let reports = assert_frozen(
+        "partition-4",
+        cfg,
+        partition_load,
+        [
+            (3, 40077, 0x0722_c5d5_9ef3_ebbc, 0xd44d_a65e_c672_15ad),
+            (11, 38478, 0x1c2e_35de_28f0_f69d, 0x02ae_ca8c_f857_c0eb),
+        ],
+    );
+    for r in &reports {
+        let f = &r.routing.fault;
+        assert_eq!(f.partitions, 1, "the partition never opened");
+        assert!(f.requests_recovered > 0, "the partition caught no work");
+        assert!(r.kv.demotions > 0, "no running request was demoted");
     }
 }

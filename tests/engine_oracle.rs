@@ -161,6 +161,54 @@ fn kv_guarded_is_frozen() {
     }
 }
 
+/// 600 adapters on an A40 cut to 20 GiB with a noisy output-length
+/// predictor: opportunistic bypasses and the §4.3.3 squash rule.
+#[test]
+fn squash_pressure_is_frozen() {
+    let mut cfg = preset::chameleon()
+        .with_gpu(GpuSpec::a40().with_memory_bytes(20 << 30))
+        .with_predictor_accuracy(0.3);
+    cfg.num_adapters = 600;
+    let reports = assert_frozen(
+        "squash-pressure",
+        cfg,
+        &splitwise(8.0, 300.0),
+        [
+            (3, 399_209, 0xd2e1_a90d_c0c2_4ada, 0x09e4_d935_1e52_f195),
+            (11, 422_932, 0x4ef6_fa51_fd18_f1ef, 0x1f14_1bea_4ef8_b791),
+        ],
+    );
+    for r in &reports {
+        assert!(r.squashes > 0, "no bypasser was squashed");
+        let bypasses: u64 = r.records.iter().map(|x| u64::from(x.bypasses)).sum();
+        assert!(bypasses > 0, "no request bypassed a blocked head");
+    }
+}
+
+/// The KV-guarded engine with chunked prefill: refusals and hybrid
+/// demotions while prompt chunks fold into decode steps.
+#[test]
+fn kv_chunked_is_frozen() {
+    let mut cfg = preset::chameleon_kv_guarded()
+        .with_gpu(GpuSpec::a40().with_memory_bytes(22 << 30))
+        .with_kv(KvSpec::new().with_pressure_threshold(0.5))
+        .with_predictor_accuracy(0.3);
+    cfg.chunked_prefill = true;
+    let reports = assert_frozen(
+        "kv-chunked",
+        cfg,
+        &splitwise(8.0, 300.0),
+        [
+            (3, 392_209, 0x83b7_d615_95fa_5059, 0xda1f_3bea_3982_c8d3),
+            (11, 415_358, 0xacd3_6638_d6e2_2f30, 0xa761_7682_ed20_8f84),
+        ],
+    );
+    for r in &reports {
+        assert!(r.kv.refused > 0, "no admission was refused");
+        assert!(r.kv.demotions > 0, "no running request was demoted");
+    }
+}
+
 /// An empty trace: only the two initial periodic ticks run.
 #[test]
 fn empty_trace_is_frozen() {

@@ -70,10 +70,11 @@ impl OutputLenPredictor for HalfPredictor {
     }
 }
 
-fn engine(pool: AdapterPool, kv: Option<KvSpec>) -> Engine {
+fn engine(pool: AdapterPool, kv: Option<KvSpec>, chunked_prefill: bool) -> Engine {
     let llm = LlmSpec::llama_7b();
     let mut cfg = EngineConfig::new(llm, tight_gpu());
     cfg.kv = kv;
+    cfg.chunked_prefill = chunked_prefill;
     Engine::new(
         cfg,
         pool,
@@ -180,7 +181,7 @@ fn baseline_accounting_holds_under_pressure() {
         let llm = LlmSpec::llama_7b();
         let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
         let trace = long_output_trace(120, 20.0, seed, &pool);
-        let mut e = engine(pool, None);
+        let mut e = engine(pool, None, false);
         drive_checked(&mut e, &trace, None);
         assert_eq!(e.completed() as usize, trace.len(), "seed {seed}");
         let report = e.into_report();
@@ -193,24 +194,29 @@ fn baseline_accounting_holds_under_pressure() {
 }
 
 /// Armed economy: admission refusals, demotions and restores all
-/// preserve the identity, and the run still completes everything.
+/// preserve the identity, and the run still completes everything, with
+/// whole-prompt prefill steps and with prompt chunks folded into decode.
 #[test]
 fn armed_accounting_holds_under_pressure() {
     for seed in SEEDS {
-        let llm = LlmSpec::llama_7b();
-        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
-        let trace = long_output_trace(120, 20.0, seed, &pool);
-        let mut e = engine(pool, Some(KvSpec::new().with_pressure_threshold(0.5)));
-        drive_checked(&mut e, &trace, None);
-        assert_eq!(e.completed() as usize, trace.len(), "seed {seed}");
-        let report = e.into_report();
-        assert!(
-            report.kv.refused > 0 || report.kv.demotions > 0,
-            "seed {seed}: neither admission control nor the hybrid cache \
-             ever intervened — the armed paths went unexercised ({:?})",
-            report.kv
-        );
-        assert_eq!(report.kv.demotions, report.kv.restores, "seed {seed}");
+        for chunked in [false, true] {
+            let llm = LlmSpec::llama_7b();
+            let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
+            let trace = long_output_trace(120, 20.0, seed, &pool);
+            let kv = Some(KvSpec::new().with_pressure_threshold(0.5));
+            let mut e = engine(pool, kv, chunked);
+            drive_checked(&mut e, &trace, None);
+            let ctx = format!("seed {seed} chunked={chunked}");
+            assert_eq!(e.completed() as usize, trace.len(), "{ctx}");
+            let report = e.into_report();
+            assert!(
+                report.kv.refused > 0 || report.kv.demotions > 0,
+                "{ctx}: neither admission control nor the hybrid cache \
+                 ever intervened — the armed paths went unexercised ({:?})",
+                report.kv
+            );
+            assert_eq!(report.kv.demotions, report.kv.restores, "{ctx}");
+        }
     }
 }
 
@@ -224,16 +230,19 @@ fn armed_accounting_holds_under_pressure() {
 fn partition_recovery_keeps_accounting() {
     for seed in SEEDS {
         for kv in [None, Some(KvSpec::new().with_pressure_threshold(0.5))] {
-            let llm = LlmSpec::llama_7b();
-            let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
-            let trace = long_output_trace(80, 20.0, seed, &pool);
-            let mut e = engine(pool, kv);
-            drive_checked(&mut e, &trace, Some(150));
-            assert_eq!(
-                e.completed() as usize,
-                trace.len(),
-                "seed {seed} kv={kv:?}: re-dispatched survivors must finish"
-            );
+            for chunked in [false, true] {
+                let llm = LlmSpec::llama_7b();
+                let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
+                let trace = long_output_trace(80, 20.0, seed, &pool);
+                let mut e = engine(pool, kv, chunked);
+                drive_checked(&mut e, &trace, Some(150));
+                assert_eq!(
+                    e.completed() as usize,
+                    trace.len(),
+                    "seed {seed} kv={kv:?} chunked={chunked}: \
+                     re-dispatched survivors must finish"
+                );
+            }
         }
     }
 }
@@ -245,7 +254,11 @@ fn evacuation_releases_all_kv() {
     let llm = LlmSpec::llama_7b();
     let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
     let trace = long_output_trace(60, 25.0, 3, &pool);
-    let mut e = engine(pool, Some(KvSpec::new().with_pressure_threshold(0.5)));
+    let mut e = engine(
+        pool,
+        Some(KvSpec::new().with_pressure_threshold(0.5)),
+        false,
+    );
     // Feed arrivals only up to 2 s, then evacuate mid-flight.
     let mut out = Vec::new();
     let cutoff = SimTime::from_secs_f64(2.0);
