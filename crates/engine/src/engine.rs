@@ -75,21 +75,16 @@ struct Loading {
 }
 
 /// A running request demoted to a compact hidden-state proxy entry
-/// (hybrid cache mode, Apt-Serve-style). Progress is frozen, the full KV
-/// blocks are released, and the scheduler quota stays charged — the
-/// request never left the system, so its eventual retirement credits the
-/// quota exactly once.
+/// (hybrid cache mode, Apt-Serve-style). The `Running` entry is parked
+/// as it was: progress is frozen, the full KV blocks are released, and
+/// the scheduler quota stays charged — the request never left the
+/// system, so its eventual retirement credits the quota exactly once.
+/// `run.kv_reserved` is stale until restore initiation re-reserves.
 #[derive(Debug, Clone)]
 struct Demoted {
-    req: Request,
-    queue_index: usize,
-    charged_tokens: u64,
-    predicted_output: u32,
-    prefill_remaining: u32,
-    produced: u32,
+    run: Running,
     /// Proxy bytes left resident (the PCIe payload of the restore).
     proxy_bytes: u64,
-    admitted_at: SimTime,
     demoted_at: SimTime,
 }
 
@@ -99,8 +94,6 @@ struct Demoted {
 struct Restoring {
     d: Demoted,
     ready_at: SimTime,
-    /// Tokens the restore reserved (input + refreshed prediction).
-    kv_reserved: u32,
 }
 
 /// A request in a launched step: its id and its index in `running` when
@@ -111,29 +104,21 @@ struct StepSlot {
     idx: usize,
 }
 
-/// What the engine is executing right now.
-#[derive(Debug, Clone)]
-enum StepPlan {
-    /// Full (or chunked) prefill for these requests; `chunks[i]` prompt
-    /// tokens are processed for request `ids[i]`.
-    Prefill {
-        ids: Vec<StepSlot>,
-        chunks: Vec<u32>,
-    },
-    /// One decode iteration for these requests, plus (in chunked-prefill
-    /// mode) prompt chunks folded in.
-    Decode {
-        ids: Vec<StepSlot>,
-        folded_prefill: Vec<(StepSlot, u32)>,
-    },
+/// What the engine is executing right now: prompt chunks, applied first,
+/// then one decode token each. A plain (non-chunked) step carries either
+/// prefill or decode, never both.
+#[derive(Debug, Clone, Default)]
+struct StepPlan {
+    /// `(request, prompt tokens processed this step)`.
+    prefill: Vec<(StepSlot, u32)>,
+    decode: Vec<StepSlot>,
 }
 
-/// A record of an opportunistic bypass: `r2` jumped over blocked `r1`
+/// A record of an opportunistic bypass: `r2` jumped over a blocked head
 /// needing `r1_tokens`; if that much frees while `r2` runs, `r2` squashes.
 #[derive(Debug, Clone, Copy)]
 struct BypassPair {
     r2: RequestId,
-    r1: RequestId,
     r1_tokens: u64,
 }
 
@@ -183,13 +168,10 @@ pub struct Engine {
     adapters_buf: Vec<AdapterId>,
     protected_buf: FastSet<AdapterId>,
     prefetch_buf: Vec<AdapterId>,
-    prefill_idx: Vec<usize>,
-    decode_idx: Vec<usize>,
     prefill_items: Vec<PrefillItem>,
     decode_items: Vec<DecodeItem>,
-    ids_pool: Vec<StepSlot>,
-    chunks_pool: Vec<u32>,
-    folded_pool: Vec<(StepSlot, u32)>,
+    /// The finished step's buffers, recycled by the next plan.
+    step_pool: StepPlan,
     pairs_scratch: Vec<BypassPair>,
     /// Decision-trace buffer in this engine's own execution order; `None`
     /// (the default) keeps every emission site a single branch. The driver
@@ -279,13 +261,9 @@ impl Engine {
             adapters_buf: Vec::new(),
             protected_buf: FastSet::default(),
             prefetch_buf: Vec::new(),
-            prefill_idx: Vec::new(),
-            decode_idx: Vec::new(),
             prefill_items: Vec::new(),
             decode_items: Vec::new(),
-            ids_pool: Vec::new(),
-            chunks_pool: Vec::new(),
-            folded_pool: Vec::new(),
+            step_pool: StepPlan::default(),
             pairs_scratch: Vec::new(),
             trace: None,
             pcie_faults: None,
@@ -347,8 +325,8 @@ impl Engine {
         self.sched.drain_queued_into(&mut queued);
         let mut lost: Vec<Request> = queued.iter().map(|q| *q.request()).collect();
         lost.extend(self.running.drain(..).map(|r| r.req));
-        lost.extend(self.demoted.drain(..).map(|d| d.req));
-        lost.extend(self.restoring.drain(..).map(|r| r.d.req));
+        lost.extend(self.demoted.drain(..).map(|d| d.run.req));
+        lost.extend(self.restoring.drain(..).map(|r| r.d.run.req));
         self.current_step = None;
         self.loading.clear();
         self.bypass_pairs.clear();
@@ -371,32 +349,24 @@ impl Engine {
     /// in flight (step or load completions) are ignored as stale when
     /// they land.
     pub fn evacuate_unfinished(&mut self, now: SimTime) -> Vec<Request> {
-        for idx in 0..self.running.len() {
-            let (id, queue_index, charged) = {
-                let r = &self.running[idx];
-                (r.req.id(), r.queue_index, r.charged_tokens)
-            };
-            self.kv.free(&mut self.mem, id);
-            self.sched.on_finish(queue_index, charged);
+        // Reservations are released running → demoted → restoring; the
+        // scheduler sees its quota credits in that order.
+        for r in &self.running {
+            self.kv.free(&mut self.mem, r.req.id());
+            self.sched.on_finish(r.queue_index, r.charged_tokens);
         }
         // Hybrid-cache state evacuates like running reservations: proxies
         // are dropped, in-flight restores release the full KV they had
         // already re-reserved, and both give their scheduler quota back.
-        for idx in 0..self.demoted.len() {
-            let (id, queue_index, charged) = {
-                let d = &self.demoted[idx];
-                (d.req.id(), d.queue_index, d.charged_tokens)
-            };
-            self.kv.drop_proxy(&mut self.mem, id);
-            self.sched.on_finish(queue_index, charged);
+        for d in &self.demoted {
+            self.kv.drop_proxy(&mut self.mem, d.run.req.id());
+            self.sched
+                .on_finish(d.run.queue_index, d.run.charged_tokens);
         }
-        for idx in 0..self.restoring.len() {
-            let (id, queue_index, charged) = {
-                let r = &self.restoring[idx];
-                (r.d.req.id(), r.d.queue_index, r.d.charged_tokens)
-            };
-            self.kv.free(&mut self.mem, id);
-            self.sched.on_finish(queue_index, charged);
+        for r in &self.restoring {
+            self.kv.free(&mut self.mem, r.d.run.req.id());
+            self.sched
+                .on_finish(r.d.run.queue_index, r.d.run.charged_tokens);
         }
         // Cache references: a running request holds one on its adapter
         // unless it is still waiting on an in-flight load (that
@@ -408,7 +378,7 @@ impl Engine {
             .running
             .iter()
             .map(|r| r.req.adapter())
-            .chain(self.restoring.iter().map(|r| r.d.req.adapter()))
+            .chain(self.restoring.iter().map(|r| r.d.run.req.adapter()))
             .filter(|a| !self.loading.contains_key(a))
             .collect();
         held.sort_unstable();
@@ -467,13 +437,13 @@ impl Engine {
     /// the cluster's global scheduler. Demoted/restoring requests keep
     /// their charge: they never left the system.
     pub fn outstanding_tokens(&self) -> u64 {
-        let running: u64 = self.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-            + self.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
-            + self
-                .restoring
-                .iter()
-                .map(|r| r.d.charged_tokens)
-                .sum::<u64>();
+        let running: u64 = self
+            .running
+            .iter()
+            .chain(self.demoted.iter().map(|d| &d.run))
+            .chain(self.restoring.iter().map(|r| &r.d.run))
+            .map(|r| r.charged_tokens)
+            .sum();
         // Queued work approximated by queue length × mean running charge.
         let mean = if self.running.is_empty() {
             256
@@ -665,11 +635,7 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn on_arrival(&mut self, now: SimTime, req: Request, out: &mut Vec<(SimTime, EngineEvent)>) {
-        let spec = self
-            .pool
-            .get(req.adapter())
-            .unwrap_or_else(|| panic!("unknown adapter {}", req.adapter()))
-            .clone();
+        let adapter_bytes = self.adapter_bytes(req.adapter());
         // The ledger clocks TTFT/E2E from the request's *original* arrival
         // (identical to `now` on every normal dispatch; later than `now`
         // only for crash-recovery re-dispatches, whose dead-engine and
@@ -684,15 +650,10 @@ impl Engine {
         );
         self.load_predictor.observe(req.adapter(), now);
         let predicted = self.predictor.predict(&req);
-        let predicted = self.fit_prediction(req.input_tokens(), predicted, spec.bytes());
-        let wrs = self
-            .wrs_cfg
-            .compute(req.input_tokens(), predicted, spec.bytes());
-        let adapter_token_equiv = spec.bytes() / self.kv_bytes_per_token;
-        let queued =
-            QueuedRequest::new(req, predicted, spec.bytes(), adapter_token_equiv, wrs, now);
+        let predicted = self.fit_prediction(req.input_tokens(), predicted, adapter_bytes);
+        let queued = self.annotate(req, predicted, now);
         let class = SizeClass::from_queue_index(
-            self.sched.queue_index_for(wrs),
+            self.sched.queue_index_for(queued.wrs()),
             self.sched.num_queues().max(1),
         );
         self.collector.on_classified(queued.id(), class);
@@ -755,29 +716,14 @@ impl Engine {
         let Some(plan) = self.current_step.take() else {
             return;
         };
-        match plan {
-            StepPlan::Prefill { ids, chunks } => {
-                for (&slot, &chunk) in ids.iter().zip(chunks.iter()) {
-                    self.apply_prefill_progress(slot, chunk, now);
-                }
-                // Return the plan's buffers to the pool for the next step.
-                self.ids_pool = ids;
-                self.chunks_pool = chunks;
-            }
-            StepPlan::Decode {
-                ids,
-                folded_prefill,
-            } => {
-                for &(slot, chunk) in &folded_prefill {
-                    self.apply_prefill_progress(slot, chunk, now);
-                }
-                for &slot in &ids {
-                    self.apply_decode_progress(slot, now);
-                }
-                self.ids_pool = ids;
-                self.folded_pool = folded_prefill;
-            }
+        for &(slot, chunk) in &plan.prefill {
+            self.apply_prefill_progress(slot, chunk, now);
         }
+        for &slot in &plan.decode {
+            self.apply_decode_progress(slot, now);
+        }
+        // Return the plan's buffers to the pool for the next step.
+        self.step_pool = plan;
         self.retire_finished(now);
         self.try_dispatch(now, out);
         self.prefetch(now, out);
@@ -832,8 +778,17 @@ impl Engine {
             // past the threshold, demote the youngest running request to a
             // compact hidden-state proxy; otherwise squash it outright
             // (recompute-style preemption).
-            if !self.try_demote_youngest_except(slot.id, now) {
-                self.squash_youngest_except(slot.id, now);
+            let youngest = self
+                .running
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.req.id() != slot.id)
+                .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
+                .map(|(victim, _)| victim);
+            if let Some(victim) = youngest {
+                if !self.try_demote(victim, now) {
+                    self.squash(victim, now);
+                }
             }
             // The victim's swap_remove may have moved this request.
             let idx = self
@@ -876,13 +831,13 @@ impl Engine {
         self.mem.used(Region::KvCache) as f64 / usable as f64
     }
 
-    /// Hybrid cache mode (Apt-Serve): under KV pressure, demotes the
-    /// youngest running request (except `keep`) to a compact proxy entry
-    /// instead of squashing it. The victim's full blocks free, a
-    /// `proxy_ratio` fraction stays resident, and the scheduler quota
-    /// stays charged — retirement after restore credits it exactly once.
-    /// Returns whether a demotion happened.
-    fn try_demote_youngest_except(&mut self, keep: RequestId, now: SimTime) -> bool {
+    /// Hybrid cache mode (Apt-Serve): under KV pressure, demotes
+    /// `running[idx]` to a compact proxy entry instead of squashing it.
+    /// The victim's full blocks free, a `proxy_ratio` fraction stays
+    /// resident, and the scheduler quota stays charged — retirement after
+    /// restore credits it exactly once. Returns whether a demotion
+    /// happened.
+    fn try_demote(&mut self, idx: usize, now: SimTime) -> bool {
         let Some(spec) = self.kv_spec else {
             return false;
         };
@@ -892,27 +847,10 @@ impl Engine {
         {
             return false;
         }
-        let Some(idx) = self
-            .running
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.req.id() != keep)
-            .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
-            .map(|(i, _)| i)
-        else {
-            return false;
-        };
-        let r = self.running.swap_remove(idx);
-        let id = r.req.id();
+        let run = self.running.swap_remove(idx);
+        let id = run.req.id();
         let (full, proxy) = self.kv.demote(&mut self.mem, id, spec.proxy_ratio);
-        // Adapter reference: same discipline as squash — the adapter may
-        // still be in flight, in which case the waiter is dropped instead
-        // of a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(&r.req.adapter()) {
-            l.waiters = l.waiters.saturating_sub(1);
-        } else {
-            self.cache.release(&mut self.mem, r.req.adapter(), now);
-        }
+        self.release_adapter(run.req.adapter(), now);
         self.bypass_pairs.retain(|p| p.r2 != id);
         self.kv_stats.on_demoted(self.kv.proxy_bytes());
         if let Some(buf) = self.trace.as_mut() {
@@ -926,14 +864,8 @@ impl Engine {
             ));
         }
         self.demoted.push(Demoted {
-            req: r.req,
-            queue_index: r.queue_index,
-            charged_tokens: r.charged_tokens,
-            predicted_output: r.predicted_output,
-            prefill_remaining: r.prefill_remaining,
-            produced: r.produced,
+            run,
             proxy_bytes: proxy,
-            admitted_at: r.admitted_at,
             demoted_at: now,
         });
         true
@@ -949,8 +881,8 @@ impl Engine {
         if self.restoring.is_empty() && self.demoted.is_empty() {
             return;
         }
-        // Stable removal (not swap_remove): running-batch push order is
-        // part of the deterministic timeline.
+        // Stable removal (not swap_remove) from both lists: running-batch
+        // push order is part of the deterministic timeline.
         let mut i = 0;
         while i < self.restoring.len() {
             if self.restoring[i].ready_at > now {
@@ -962,90 +894,44 @@ impl Engine {
                 buf.push((
                     now,
                     TraceEvent::KvRestored {
-                        req: rst.d.req.id().0,
-                        kv_bytes: self.kv.bytes_for(rst.kv_reserved),
+                        req: rst.d.run.req.id().0,
+                        kv_bytes: self.kv.bytes_for(rst.d.run.kv_reserved),
                         stalled: now.saturating_since(rst.d.demoted_at),
                     },
                 ));
             }
-            self.running.push(Running {
-                req: rst.d.req,
-                queue_index: rst.d.queue_index,
-                charged_tokens: rst.d.charged_tokens,
-                predicted_output: rst.d.predicted_output,
-                prefill_remaining: rst.d.prefill_remaining,
-                produced: rst.d.produced,
-                kv_reserved: rst.kv_reserved,
-                admitted_at: rst.d.admitted_at,
-            });
+            self.running.push(rst.d.run);
         }
-        while !self.demoted.is_empty() {
-            let (kv_tokens, adapter, adapter_need) = {
-                let d = &self.demoted[0];
-                // Refresh the reservation the way squash re-annotation
-                // does: the system has seen `produced` tokens, so reserve
-                // at least that plus a block of headroom.
-                let adapter = d.req.adapter();
-                let adapter_bytes = self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0);
-                let predicted = self.fit_prediction(
-                    d.req.input_tokens(),
-                    d.predicted_output
-                        .max(d.produced + self.cfg.kv_block_tokens)
-                        .min(d.req.output_tokens().max(1)),
-                    adapter_bytes,
-                );
-                let kv_tokens = d.req.input_tokens() + predicted;
-                let adapter_need =
-                    if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
-                        0
-                    } else {
-                        adapter_bytes
-                    };
-                (kv_tokens, adapter, adapter_need)
+        while let Some(d) = self.demoted.first() {
+            let adapter = d.run.req.adapter();
+            let kv_tokens = d.run.req.input_tokens() + self.refreshed_prediction(&d.run);
+            let adapter_need = if self.is_adapter_resident(adapter) {
+                0
+            } else {
+                self.adapter_bytes(adapter)
             };
             let need = self.kv.bytes_for(kv_tokens) + adapter_need + 2 * self.kv.block_bytes();
             if self.mem.free() < need {
                 break;
             }
-            let d = self.demoted.remove(0);
-            let id = d.req.id();
+            let mut d = self.demoted.remove(0);
             self.kv
-                .restore(&mut self.mem, id, kv_tokens)
+                .restore(&mut self.mem, d.run.req.id(), kv_tokens)
                 .expect("free memory checked above");
+            d.run.kv_reserved = kv_tokens;
             // The proxy → full-KV re-materialisation rides the host link
-            // like any transfer.
-            let mut ready_at = self.issue_adapter_transfer(d.proxy_bytes, now);
-            // Adapter residency, exactly as admission acquires it.
-            if self.cache.acquire(&mut self.mem, adapter, now) {
-                // Hit: nothing to do.
-            } else if let Some(l) = self.loading.get_mut(&adapter) {
-                l.waiters += 1;
-                ready_at = ready_at.max(l.ready_at);
-            } else {
-                self.mem
-                    .reserve(Region::AdaptersInUse, adapter_need)
-                    .expect("free memory checked above");
-                let adapter_ready = self.issue_adapter_transfer(adapter_need, now);
-                self.loading.insert(
-                    adapter,
-                    Loading {
-                        ready_at: adapter_ready,
-                        bytes: adapter_need,
-                        waiters: 1,
-                    },
-                );
-                out.push((adapter_ready, EngineEvent::LoadDone(adapter)));
-                ready_at = ready_at.max(adapter_ready);
-            }
+            // like any transfer, issued *before* the adapter's: link order
+            // sets both ready instants.
+            let proxy_ready = self.issue_adapter_transfer(d.proxy_bytes, now);
+            let adapter_ready = self
+                .attach_adapter(adapter, None, now, out)
+                .expect("free memory checked above");
+            let ready_at = proxy_ready.max(adapter_ready);
             self.kv_stats.on_restored(d.proxy_bytes);
             // Revisit this state machine when the transfer lands even if
             // no other event would fire then.
             out.push((ready_at, EngineEvent::Poke));
-            self.restoring.push(Restoring {
-                kv_reserved: kv_tokens,
-                ready_at,
-                d,
-            });
+            self.restoring.push(Restoring { d, ready_at });
         }
     }
 
@@ -1108,7 +994,7 @@ impl Engine {
             self.cache.release(&mut self.mem, r.req.adapter(), now);
             self.sched.on_finish(r.queue_index, r.charged_tokens);
             self.completed += 1;
-            self.bypass_pairs.retain(|p| p.r2 != id && p.r1 != id);
+            self.bypass_pairs.retain(|p| p.r2 != id);
         }
     }
 
@@ -1173,12 +1059,7 @@ impl Engine {
             let finish = now + step.mul_f64(remaining as f64);
             // Block-rounded, matching what `KvAllocator::free` actually
             // releases at retirement.
-            let freed = self.kv.bytes_for(r.kv_reserved)
-                + self
-                    .pool
-                    .get(r.req.adapter())
-                    .map(|a| a.bytes())
-                    .unwrap_or(0);
+            let freed = self.kv.bytes_for(r.kv_reserved) + self.adapter_bytes(r.req.adapter());
             (finish, freed)
         }));
         // In-place unstable sort (no temp buffer); tied finish times all
@@ -1241,8 +1122,7 @@ impl Engine {
                     rest.clear();
                     rest.extend(iter);
                     for adm in rest.drain(..).rev() {
-                        self.sched.on_finish(adm.queue_index, adm.charged_tokens);
-                        self.sched.requeue_front(adm.request.requeued_at(now));
+                        self.give_back(adm, now);
                     }
                     self.requeue_buf = rest;
                     break;
@@ -1282,21 +1162,21 @@ impl Engine {
     /// admission processing should stop.
     fn admit(
         &mut self,
-        adm: chameleon_sched::AdmissionOutcome,
+        adm: AdmissionOutcome,
         now: SimTime,
         out: &mut Vec<(SimTime, EngineEvent)>,
     ) -> bool {
-        let queued = adm.request;
-        let id = queued.id();
-        let req = *queued.request();
+        let req = *adm.request.request();
+        let id = req.id();
         let adapter = req.adapter();
-        let spec = self.pool.get(adapter).expect("known adapter").clone();
+        let predicted = adm.request.predicted_output();
         self.refresh_protected();
 
         // 1. KV reservation for input + predicted output.
-        let kv_tokens = req.input_tokens() + queued.predicted_output();
+        let kv_tokens = req.input_tokens() + predicted;
         let kv_bytes = self.kv.bytes_for(kv_tokens);
-        if self.kv_spec.is_some_and(|s| s.admission) {
+        let guarded = self.kv_spec.is_some_and(|s| s.admission);
+        if guarded {
             // KV-aware admission control: refuse *before* touching the
             // allocator when the block-rounded footprint — KV plus a cold
             // adapter load — cannot be met even by evicting every idle,
@@ -1304,12 +1184,11 @@ impl Engine {
             // output up front is the completability criterion; the
             // optimistic baseline instead allocates, fails halfway, and
             // unwinds via requeue-front.
-            let adapter_need =
-                if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
-                    0
-                } else {
-                    spec.bytes()
-                };
+            let adapter_need = if self.is_adapter_resident(adapter) {
+                0
+            } else {
+                self.adapter_bytes(adapter)
+            };
             let need = kv_bytes + adapter_need;
             // Reclaimable mirrors what `make_room` can actually deliver:
             // every idle adapter counts (its §4.2 second pass overrides
@@ -1324,7 +1203,7 @@ impl Engine {
                     .cache
                     .idle_adapters()
                     .filter(|a| *a != adapter)
-                    .map(|a| self.pool.get(a).map(|s| s.bytes()).unwrap_or(0))
+                    .map(|a| self.adapter_bytes(a))
                     .sum::<u64>();
             if need > reclaimable {
                 self.kv_stats.on_refused();
@@ -1342,8 +1221,7 @@ impl Engine {
                         },
                     ));
                 }
-                self.sched.on_finish(adm.queue_index, adm.charged_tokens);
-                self.sched.requeue_front(queued.requeued_at(now));
+                self.give_back(adm, now);
                 return false;
             }
         }
@@ -1352,11 +1230,7 @@ impl Engine {
         // reclaimable sum, so no eviction pass may spend them (referenced
         // adapters are never evicted). `None` preserves the optimistic
         // baseline's acquire-after-allocate order byte for byte.
-        let pre_acquired = if self.kv_spec.is_some_and(|s| s.admission) {
-            Some(self.cache.acquire(&mut self.mem, adapter, now))
-        } else {
-            None
-        };
+        let pre_acquired = guarded.then(|| self.cache.acquire(&mut self.mem, adapter, now));
         if self.mem.free() < kv_bytes {
             self.cache
                 .make_room(&mut self.mem, kv_bytes, now, &self.protected_buf);
@@ -1371,55 +1245,20 @@ impl Engine {
             if pre_acquired == Some(true) {
                 self.cache.release(&mut self.mem, adapter, now);
             }
-            self.sched.on_finish(adm.queue_index, adm.charged_tokens);
-            self.sched.requeue_front(queued.requeued_at(now));
+            self.give_back(adm, now);
             return false;
         }
 
         // 2. Adapter residency.
-        let mut load_on_path = SimDuration::ZERO;
-        let hit = match pre_acquired {
-            Some(h) => h,
-            None => self.cache.acquire(&mut self.mem, adapter, now),
+        let Some(ready_at) = self.attach_adapter(adapter, pre_acquired, now, out) else {
+            // No memory for the adapter: undo the KV reservation.
+            if self.kv_stats.enabled {
+                self.kv_stats.on_storm();
+            }
+            self.kv.free(&mut self.mem, id);
+            self.give_back(adm, now);
+            return false;
         };
-        if hit {
-            // Hit: nothing to do.
-        } else if let Some(l) = self.loading.get_mut(&adapter) {
-            // Already in flight (prefetch or earlier admission).
-            l.waiters += 1;
-            load_on_path = l.ready_at.saturating_since(now);
-        } else {
-            // Cold: reserve memory and start the transfer.
-            if self.mem.free() < spec.bytes() {
-                self.cache
-                    .make_room(&mut self.mem, spec.bytes(), now, &self.protected_buf);
-            }
-            if self
-                .mem
-                .reserve(Region::AdaptersInUse, spec.bytes())
-                .is_err()
-            {
-                // No memory for the adapter: undo the KV reservation.
-                if self.kv_stats.enabled {
-                    self.kv_stats.on_storm();
-                }
-                self.kv.free(&mut self.mem, id);
-                self.sched.on_finish(adm.queue_index, adm.charged_tokens);
-                self.sched.requeue_front(queued.requeued_at(now));
-                return false;
-            }
-            let ready_at = self.issue_adapter_transfer(spec.bytes(), now);
-            self.loading.insert(
-                adapter,
-                Loading {
-                    ready_at,
-                    bytes: spec.bytes(),
-                    waiters: 1,
-                },
-            );
-            out.push((ready_at, EngineEvent::LoadDone(adapter)));
-            load_on_path = ready_at.saturating_since(now);
-        }
 
         // 3. Bookkeeping.
         if adm.bypassed {
@@ -1434,32 +1273,142 @@ impl Engine {
                 // Admission reserves input + predicted output, so the
                 // blocked head's token need must count both — input alone
                 // under-fires the §4.3.3 squash rule.
-                let r1_tokens = self
-                    .pool
-                    .get(r1)
-                    .map(|a| a.bytes() / self.kv_bytes_per_token)
-                    .unwrap_or(0)
+                let r1_tokens = self.adapter_bytes(r1) / self.kv_bytes_per_token
                     + u64::from(req.input_tokens())
-                    + u64::from(queued.predicted_output());
-                self.bypass_pairs.push(BypassPair {
-                    r2: id,
-                    r1: RequestId(u64::MAX), // matched by adapter need only
-                    r1_tokens,
-                });
+                    + u64::from(predicted);
+                self.bypass_pairs.push(BypassPair { r2: id, r1_tokens });
             }
         }
-        self.collector.on_admitted(id, now, load_on_path);
+        self.collector
+            .on_admitted(id, now, ready_at.saturating_since(now));
         self.running.push(Running {
             prefill_remaining: req.input_tokens(),
             produced: 0,
             kv_reserved: kv_tokens,
-            predicted_output: queued.predicted_output(),
+            predicted_output: predicted,
             charged_tokens: adm.charged_tokens,
             queue_index: adm.queue_index,
             admitted_at: now,
             req,
         });
         true
+    }
+
+    /// Gives an admission the scheduler already dequeued and charged
+    /// back: its quota is credited and it returns to the front of its
+    /// queue.
+    fn give_back(&mut self, adm: AdmissionOutcome, now: SimTime) {
+        self.sched.on_finish(adm.queue_index, adm.charged_tokens);
+        self.sched.requeue_front(adm.request.requeued_at(now));
+    }
+
+    /// Attaches one request to its adapter and returns the instant the
+    /// adapter is usable: a cache hit takes a reference (`pre_acquired`
+    /// is the caller's own `acquire` result, if it already tried), an
+    /// in-flight load gains a waiter, and a cold adapter starts a load,
+    /// evicting idle adapters first when memory is short. `None` when the
+    /// cold load cannot reserve its memory.
+    fn attach_adapter(
+        &mut self,
+        adapter: AdapterId,
+        pre_acquired: Option<bool>,
+        now: SimTime,
+        out: &mut Vec<(SimTime, EngineEvent)>,
+    ) -> Option<SimTime> {
+        let hit = match pre_acquired {
+            Some(hit) => hit,
+            None => self.cache.acquire(&mut self.mem, adapter, now),
+        };
+        if hit {
+            return Some(now);
+        }
+        if let Some(l) = self.loading.get_mut(&adapter) {
+            // Already in flight (prefetch or earlier admission).
+            l.waiters += 1;
+            return Some(l.ready_at);
+        }
+        let bytes = self.adapter_bytes(adapter);
+        if self.mem.free() < bytes {
+            self.cache
+                .make_room(&mut self.mem, bytes, now, &self.protected_buf);
+        }
+        self.start_load(adapter, bytes, 1, now, out)
+    }
+
+    /// Reserves `bytes` for `adapter`'s weights, starts their host→GPU
+    /// transfer with `waiters` requests attached, and schedules its
+    /// `LoadDone`. Returns the ready instant, or `None` when the
+    /// reservation does not fit.
+    fn start_load(
+        &mut self,
+        adapter: AdapterId,
+        bytes: u64,
+        waiters: u32,
+        now: SimTime,
+        out: &mut Vec<(SimTime, EngineEvent)>,
+    ) -> Option<SimTime> {
+        self.mem.reserve(Region::AdaptersInUse, bytes).ok()?;
+        let ready_at = self.issue_adapter_transfer(bytes, now);
+        self.loading.insert(
+            adapter,
+            Loading {
+                ready_at,
+                bytes,
+                waiters,
+            },
+        );
+        out.push((ready_at, EngineEvent::LoadDone(adapter)));
+        Some(ready_at)
+    }
+
+    /// Gives back the adapter reference of a request leaving the running
+    /// batch early. The adapter may still be in flight (a request can
+    /// leave before its prefill ever started): then the request is one of
+    /// the load's waiters and no cache reference exists yet.
+    fn release_adapter(&mut self, adapter: AdapterId, now: SimTime) {
+        if let Some(l) = self.loading.get_mut(&adapter) {
+            l.waiters = l.waiters.saturating_sub(1);
+        } else {
+            self.cache.release(&mut self.mem, adapter, now);
+        }
+    }
+
+    /// Weight bytes of a pool adapter.
+    fn adapter_bytes(&self, adapter: AdapterId) -> u64 {
+        self.pool
+            .get(adapter)
+            .unwrap_or_else(|| panic!("unknown adapter {adapter}"))
+            .bytes()
+    }
+
+    /// Annotates `req` for the scheduler with a `predicted` output
+    /// length: its WRS and its adapter's footprint.
+    fn annotate(&self, req: Request, predicted: u32, now: SimTime) -> QueuedRequest {
+        let bytes = self.adapter_bytes(req.adapter());
+        let wrs = self.wrs_cfg.compute(req.input_tokens(), predicted, bytes);
+        QueuedRequest::new(
+            req,
+            predicted,
+            bytes,
+            bytes / self.kv_bytes_per_token,
+            wrs,
+            now,
+        )
+    }
+
+    /// The output prediction a squashed or restored request is
+    /// re-annotated with. The system has observed it produce `produced`
+    /// tokens already, so it reserves at least that much plus a block of
+    /// headroom — otherwise an under-predicted request would OOM and
+    /// squash again forever.
+    fn refreshed_prediction(&self, r: &Running) -> u32 {
+        self.fit_prediction(
+            r.req.input_tokens(),
+            r.predicted_output
+                .max(r.produced + self.cfg.kv_block_tokens)
+                .min(r.req.output_tokens().max(1)),
+            self.adapter_bytes(r.req.adapter()),
+        )
     }
 
     /// §4.3.3 squash rule: if memory sufficient for a previously blocked
@@ -1477,29 +1426,20 @@ impl Engine {
         let pairs = std::mem::take(&mut self.bypass_pairs);
         debug_assert!(self.pairs_scratch.is_empty());
         for &pair in &pairs {
-            let r2_running = self.running.iter().any(|r| r.req.id() == pair.r2);
-            if !r2_running {
+            let Some(idx) = self.running.iter().position(|r| r.req.id() == pair.r2) else {
                 continue; // bypasser finished: pair dissolves
-            }
+            };
             // Memory for the blocked request is now available even without
             // squashing: the pair dissolves (r1 will admit normally).
             if free_tokens >= pair.r1_tokens {
                 continue;
             }
             // Would squashing r2 free enough?
-            let r2 = self
-                .running
-                .iter()
-                .find(|r| r.req.id() == pair.r2)
-                .expect("checked running");
+            let r2 = &self.running[idx];
             let r2_frees = u64::from(r2.kv_reserved)
-                + self
-                    .pool
-                    .get(r2.req.adapter())
-                    .map(|a| a.bytes() / self.kv_bytes_per_token)
-                    .unwrap_or(0);
+                + self.adapter_bytes(r2.req.adapter()) / self.kv_bytes_per_token;
             if free_tokens + r2_frees >= pair.r1_tokens {
-                self.squash(pair.r2, now);
+                self.squash(idx, now);
             } else {
                 self.pairs_scratch.push(pair);
             }
@@ -1509,62 +1449,20 @@ impl Engine {
         self.pairs_scratch.clear();
     }
 
-    /// Squashes a running request: its generated state is discarded and it
+    /// Squashes `running[idx]`: its generated state is discarded and it
     /// returns to the front of its queue for re-execution.
-    fn squash(&mut self, id: RequestId, now: SimTime) {
-        let Some(idx) = self.running.iter().position(|r| r.req.id() == id) else {
-            return;
-        };
+    fn squash(&mut self, idx: usize, now: SimTime) {
         let r = self.running.swap_remove(idx);
+        let id = r.req.id();
         self.kv.free(&mut self.mem, id);
-        // The adapter may still be in flight (a request can be squashed
-        // before its prefill ever started): drop the waiter instead of
-        // releasing a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(&r.req.adapter()) {
-            l.waiters = l.waiters.saturating_sub(1);
-        } else {
-            self.cache.release(&mut self.mem, r.req.adapter(), now);
-        }
+        self.release_adapter(r.req.adapter(), now);
         self.sched.on_finish(r.queue_index, r.charged_tokens);
         self.collector.on_squash(id);
         self.squashes += 1;
-        // Re-annotate and requeue at the front. The system has observed the
-        // request produce `produced` tokens already, so the re-execution
-        // reserves at least that much plus a block of headroom — otherwise
-        // an under-predicted request would OOM and squash again forever.
-        let spec = self.pool.get(r.req.adapter()).expect("known").clone();
-        let predicted = self.fit_prediction(
-            r.req.input_tokens(),
-            r.predicted_output
-                .max(r.produced + self.cfg.kv_block_tokens)
-                .min(r.req.output_tokens().max(1)),
-            spec.bytes(),
-        );
-        let wrs = self
-            .wrs_cfg
-            .compute(r.req.input_tokens(), predicted, spec.bytes());
-        let queued = QueuedRequest::new(
-            r.req,
-            predicted,
-            spec.bytes(),
-            spec.bytes() / self.kv_bytes_per_token,
-            wrs,
-            now,
-        );
+        let predicted = self.refreshed_prediction(&r);
+        let queued = self.annotate(r.req, predicted, now);
         self.sched.requeue_front(queued);
         self.bypass_pairs.retain(|p| p.r2 != id);
-    }
-
-    fn squash_youngest_except(&mut self, keep: RequestId, now: SimTime) {
-        let youngest = self
-            .running
-            .iter()
-            .filter(|r| r.req.id() != keep)
-            .max_by_key(|r| (r.admitted_at, r.req.id()))
-            .map(|r| r.req.id());
-        if let Some(id) = youngest {
-            self.squash(id, now);
-        }
     }
 
     /// Chooses and launches the next iteration.
@@ -1572,7 +1470,6 @@ impl Engine {
         if self.current_step.is_some() {
             return;
         }
-        let adapter_ready = |e: &Engine, a: AdapterId| -> bool { e.cache.is_resident(a) };
         // S-LoRA batch semantics (§2): the engine does not launch the next
         // iteration while an admitted request's adapter is still loading —
         // the scheduler synchronously loads missing adapters before sending
@@ -1581,30 +1478,11 @@ impl Engine {
             && self
                 .running
                 .iter()
-                .any(|r| r.prefill_remaining > 0 && !adapter_ready(self, r.req.adapter()))
+                .any(|r| r.prefill_remaining > 0 && !self.cache.is_resident(r.req.adapter()))
         {
             return; // a LoadDone event will re-trigger dispatch
         }
-        self.prefill_idx.clear();
-        self.decode_idx.clear();
-        let cache = &self.cache;
-        for (i, r) in self.running.iter().enumerate() {
-            if !cache.is_resident(r.req.adapter()) {
-                continue;
-            }
-            if r.prefill_remaining > 0 {
-                self.prefill_idx.push(i);
-            } else if !r.finished() {
-                self.decode_idx.push(i);
-            }
-        }
-
-        let plan = if self.cfg.chunked_prefill {
-            self.plan_chunked()
-        } else {
-            self.plan_plain()
-        };
-        let Some((plan, duration)) = plan else {
+        let Some((plan, duration)) = self.plan_step() else {
             return; // nothing executable: waiting on loads or truly idle
         };
         // Straggler windows stretch every iteration; the healthy-path
@@ -1621,132 +1499,77 @@ impl Engine {
         out.push((self.busy_until, EngineEvent::StepDone(self.step_seq)));
     }
 
-    /// Default (LightLLM/S-LoRA-style) execution: pending prefills run as a
-    /// dedicated prefill iteration before decoding continues.
+    /// Builds the next step out of the pooled buffers, which
+    /// `on_step_done` recycles when the step completes. Only requests
+    /// whose adapter is resident take part. `None` when none of them has
+    /// prompt or output tokens left.
     ///
-    /// Reads `prefill_idx`/`decode_idx` (filled by `launch_step`) and
-    /// builds the plan out of the pooled buffers, which `on_step_done`
-    /// recycles when the step completes.
-    fn plan_plain(&mut self) -> Option<(StepPlan, SimDuration)> {
-        if !self.prefill_idx.is_empty() {
-            // Cap the prompt tokens processed this iteration so a wave of
-            // admissions cannot stall running decodes indefinitely.
-            let mut budget = self.cfg.max_prefill_batch_tokens;
-            let mut ids = std::mem::take(&mut self.ids_pool);
-            let mut chunks = std::mem::take(&mut self.chunks_pool);
-            ids.clear();
-            chunks.clear();
-            self.prefill_items.clear();
-            for &i in &self.prefill_idx {
-                if budget == 0 {
-                    break;
+    /// - Default (LightLLM/S-LoRA-style) execution: pending prefills run
+    ///   as a dedicated prefill iteration of at most
+    ///   `max_prefill_batch_tokens`, so a wave of admissions cannot stall
+    ///   running decodes indefinitely; decoding continues once none are
+    ///   pending.
+    /// - Sarathi-style chunked prefill: decode every iteration, folding in
+    ///   up to `prefill_chunk_tokens` of pending prompt work.
+    fn plan_step(&mut self) -> Option<(StepPlan, SimDuration)> {
+        let chunked = self.cfg.chunked_prefill;
+        let mut budget = if chunked {
+            self.cfg.prefill_chunk_tokens
+        } else {
+            self.cfg.max_prefill_batch_tokens
+        };
+        let mut plan = std::mem::take(&mut self.step_pool);
+        plan.prefill.clear();
+        plan.decode.clear();
+        self.prefill_items.clear();
+        self.decode_items.clear();
+        let mut prefill_pending = false;
+        for (idx, r) in self.running.iter().enumerate() {
+            if !self.cache.is_resident(r.req.adapter()) {
+                continue;
+            }
+            let slot = StepSlot {
+                id: r.req.id(),
+                idx,
+            };
+            if r.prefill_remaining > 0 {
+                prefill_pending = true;
+                if budget > 0 {
+                    let chunk = r.prefill_remaining.min(budget);
+                    budget -= chunk;
+                    plan.prefill.push((slot, chunk));
+                    self.prefill_items.push(PrefillItem {
+                        tokens: chunk,
+                        rank: Some(r.req.rank()),
+                    });
                 }
-                let r = &self.running[i];
-                let take = r.prefill_remaining.min(budget);
-                budget -= take;
-                ids.push(StepSlot {
-                    id: r.req.id(),
-                    idx: i,
-                });
-                chunks.push(take);
-                self.prefill_items.push(PrefillItem {
-                    tokens: take,
+            } else if !r.finished() {
+                plan.decode.push(slot);
+                self.decode_items.push(DecodeItem {
+                    kv_tokens: r.req.input_tokens() + r.produced,
                     rank: Some(r.req.rank()),
                 });
             }
-            let dur = self.cost.prefill_time(&self.prefill_items);
-            return Some((StepPlan::Prefill { ids, chunks }, dur));
         }
-        if self.decode_idx.is_empty() {
+        if !prefill_pending && plan.decode.is_empty() {
+            self.step_pool = plan;
             return None;
         }
-        let mut ids = std::mem::take(&mut self.ids_pool);
-        ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| StepSlot {
-            id: self.running[i].req.id(),
-            idx: i,
-        }));
-        self.fill_decode_items();
-        let dur = self.cost.decode_step_time(&self.decode_items);
-        let mut folded = std::mem::take(&mut self.folded_pool);
-        folded.clear();
-        Some((
-            StepPlan::Decode {
-                ids,
-                folded_prefill: folded,
-            },
-            dur,
-        ))
-    }
-
-    /// Fills `decode_items` with the cost-model view of `decode_idx`.
-    fn fill_decode_items(&mut self) {
-        self.decode_items.clear();
-        let running = &self.running;
-        self.decode_items.extend(self.decode_idx.iter().map(|&i| {
-            let r = &running[i];
-            DecodeItem {
-                kv_tokens: r.req.input_tokens() + r.produced,
-                rank: Some(r.req.rank()),
-            }
-        }));
-    }
-
-    /// Sarathi-style chunked prefill: decode every iteration, folding in up
-    /// to `prefill_chunk_tokens` of pending prompt work.
-    fn plan_chunked(&mut self) -> Option<(StepPlan, SimDuration)> {
-        if self.prefill_idx.is_empty() && self.decode_idx.is_empty() {
-            return None;
+        if prefill_pending && !chunked {
+            plan.decode.clear();
+            self.decode_items.clear();
         }
-        let mut budget = self.cfg.prefill_chunk_tokens;
-        let mut folded = std::mem::take(&mut self.folded_pool);
-        folded.clear();
-        self.prefill_items.clear();
-        for &i in &self.prefill_idx {
-            if budget == 0 {
-                break;
-            }
-            let r = &self.running[i];
-            let chunk = r.prefill_remaining.min(budget);
-            budget -= chunk;
-            folded.push((
-                StepSlot {
-                    id: r.req.id(),
-                    idx: i,
-                },
-                chunk,
-            ));
-            self.prefill_items.push(PrefillItem {
-                tokens: chunk,
-                rank: Some(r.req.rank()),
-            });
-        }
-        let mut ids = std::mem::take(&mut self.ids_pool);
-        ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| StepSlot {
-            id: self.running[i].req.id(),
-            idx: i,
-        }));
-        self.fill_decode_items();
         // Folding shares one iteration: the chunk's compute rides along,
-        // minus one duplicated fixed overhead.
-        let mut dur = self.cost.decode_step_time(&self.decode_items);
-        if !self.prefill_items.is_empty() {
-            let pf = self.cost.prefill_time(&self.prefill_items);
-            let overhead = self.cost.calibration().prefill_overhead;
-            dur = if dur.is_zero() {
-                pf
-            } else {
-                dur + pf.saturating_sub(overhead)
-            };
-        }
-        Some((
-            StepPlan::Decode {
-                ids,
-                folded_prefill: folded,
-            },
-            dur,
-        ))
+        // minus one duplicated fixed overhead. Either time is zero for an
+        // empty list, so a step of one kind costs exactly that kind.
+        let decode = self.cost.decode_step_time(&self.decode_items);
+        let prefill = self.cost.prefill_time(&self.prefill_items);
+        let duration = if decode.is_zero() {
+            prefill
+        } else {
+            decode + prefill.saturating_sub(self.cost.calibration().prefill_overhead)
+        };
+        Some((plan, duration))
     }
 
     /// Issues the host→GPU copy for an adapter load and returns the
@@ -1816,33 +1639,16 @@ impl Engine {
         now: SimTime,
         out: &mut Vec<(SimTime, EngineEvent)>,
     ) -> Option<u64> {
-        if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
+        if self.is_adapter_resident(adapter) {
             return None;
         }
-        let spec = self.pool.get(adapter)?.clone();
+        let bytes = self.pool.get(adapter)?.bytes();
         // Never evict for speculation: only genuinely free memory, with
         // headroom for a few KV blocks.
-        if self.mem.free() < spec.bytes() + 4 * self.kv.block_bytes() {
+        if self.mem.free() < bytes + 4 * self.kv.block_bytes() {
             return None;
         }
-        if self
-            .mem
-            .reserve(Region::AdaptersInUse, spec.bytes())
-            .is_err()
-        {
-            return None;
-        }
-        let ready_at = self.issue_adapter_transfer(spec.bytes(), now);
-        self.loading.insert(
-            adapter,
-            Loading {
-                ready_at,
-                bytes: spec.bytes(),
-                waiters: 0,
-            },
-        );
-        out.push((ready_at, EngineEvent::LoadDone(adapter)));
-        Some(spec.bytes())
+        self.start_load(adapter, bytes, 0, now, out).map(|_| bytes)
     }
 }
 
@@ -2192,7 +1998,6 @@ mod tests {
         // Plenty of free memory: tiny r1 need dissolves without a squash.
         e.bypass_pairs.push(BypassPair {
             r2: RequestId(2),
-            r1: RequestId(u64::MAX),
             r1_tokens: 8,
         });
         e.check_squash(SimTime::from_secs_f64(1.0));
@@ -2219,7 +2024,6 @@ mod tests {
         let r1_tokens = free_tokens + r2_frees;
         e.bypass_pairs.push(BypassPair {
             r2: RequestId(2),
-            r1: RequestId(u64::MAX),
             r1_tokens,
         });
         e.check_squash(SimTime::from_secs_f64(1.0));
@@ -2255,9 +2059,9 @@ mod tests {
             .expect("free bytes just measured");
         let ids = (0..5).map(|i| slot(i as u64 + 1, hints[i])).collect();
         e.step_seq = 7;
-        e.current_step = Some(StepPlan::Decode {
-            ids,
-            folded_prefill: Vec::new(),
+        e.current_step = Some(StepPlan {
+            prefill: Vec::new(),
+            decode: ids,
         });
         let mut out = Vec::new();
         e.handle(
