@@ -8,7 +8,7 @@
 
 use crate::config::EngineConfig;
 use crate::kv_spec::KvSpec;
-use crate::probe::EngineProbe;
+use crate::probe::{release_wait, EngineProbe, Lent, ReleaseSchedule};
 use crate::report::EngineReport;
 use chameleon_cache::{AdapterCache, CacheJournalEvent};
 use chameleon_fault::PcieFaultInjector;
@@ -18,7 +18,7 @@ use chameleon_gpu::{CostModel, KvAllocator, PcieLink};
 use chameleon_metrics::{Collector, KvStats, MemorySample, SizeClass};
 use chameleon_models::{AdapterId, AdapterPool};
 use chameleon_predictor::{HistogramLoadPredictor, OutputLenPredictor};
-use chameleon_sched::{AdmissionOutcome, QueuedRequest, ResourceProbe, Scheduler, WrsConfig};
+use chameleon_sched::{AdmissionOutcome, QueuedRequest, Scheduler, WrsConfig};
 use chameleon_simcore::{FastMap, FastSet, SimDuration, SimTime};
 use chameleon_trace::TraceEvent;
 use chameleon_workload::{Request, RequestId};
@@ -45,17 +45,17 @@ pub enum EngineEvent {
 
 /// A request in the running batch.
 #[derive(Debug, Clone)]
-struct Running {
-    req: Request,
+pub(crate) struct Running {
+    pub(crate) req: Request,
     queue_index: usize,
     charged_tokens: u64,
-    predicted_output: u32,
+    pub(crate) predicted_output: u32,
     /// Prompt tokens not yet prefilled.
-    prefill_remaining: u32,
+    pub(crate) prefill_remaining: u32,
     /// Output tokens produced.
-    produced: u32,
+    pub(crate) produced: u32,
     /// KV tokens currently reserved for this request.
-    kv_reserved: u32,
+    pub(crate) kv_reserved: u32,
     admitted_at: SimTime,
 }
 
@@ -67,7 +67,7 @@ impl Running {
 
 /// An in-flight adapter transfer.
 #[derive(Debug, Clone)]
-struct Loading {
+pub(crate) struct Loading {
     ready_at: SimTime,
     bytes: u64,
     /// Requests already admitted and waiting on this adapter.
@@ -159,14 +159,28 @@ pub struct Engine {
     /// cached at construction — the oracle behind the O(1) per-snapshot
     /// TTFT-violation estimate.
     isolated_secs_per_token: f64,
-    // --- reusable per-step scratch (zero-alloc stepping) ------------------
-    // Every buffer below is cleared and refilled in place each iteration,
-    // so the steady-state event loop performs no heap allocation.
-    probe_scratch: EngineProbe,
+    /// Seconds per prefill token the probe quotes, cached at construction.
+    prefill_secs_per_token: f64,
+    /// `decode_steps[b]`: one decode iteration of `b` requests at the
+    /// probe's nominal context, memoised as batch sizes first occur.
+    decode_steps: Vec<SimDuration>,
+    // --- reusable scratch (zero-alloc stepping) ---------------------------
+    // Every buffer below is cleared and refilled in place when used, so
+    // the steady-state event loop performs no heap allocation.
+    /// The buffer a probe fills with resident adapters on its first
+    /// residency question.
+    resident_buf: FastSet<AdapterId>,
+    /// The buffer a probe fills with the memory-release schedule on its
+    /// first wait estimate (and before admissions when a traced refusal
+    /// may read it); `release_fresh` says the last probe filled it.
+    release: ReleaseSchedule,
+    release_fresh: bool,
     admit_buf: Vec<AdmissionOutcome>,
     requeue_buf: Vec<AdmissionOutcome>,
     adapters_buf: Vec<AdapterId>,
     protected_buf: FastSet<AdapterId>,
+    /// True while `adapters_buf` and `protected_buf` match the queues.
+    queued_fresh: bool,
     prefetch_buf: Vec<AdapterId>,
     prefill_items: Vec<PrefillItem>,
     decode_items: Vec<DecodeItem>,
@@ -219,6 +233,11 @@ impl Engine {
                 rank: None,
             }])
             .as_secs_f64();
+        let prefill_secs_per_token = {
+            let t1k = cost.base_prefill_time(1024).as_secs_f64();
+            let t0 = cost.base_prefill_time(1).as_secs_f64();
+            (t1k - t0) / 1023.0
+        };
         let kv_spec = cfg.kv;
         let kv_stats = KvStats {
             enabled: kv_spec.is_some(),
@@ -254,12 +273,17 @@ impl Engine {
             completed: 0,
             kv_bytes_per_token,
             isolated_secs_per_token,
+            prefill_secs_per_token,
+            decode_steps: Vec::new(),
             cfg,
-            probe_scratch: EngineProbe::default(),
+            resident_buf: FastSet::default(),
+            release: Vec::new(),
+            release_fresh: false,
             admit_buf: Vec::new(),
             requeue_buf: Vec::new(),
             adapters_buf: Vec::new(),
             protected_buf: FastSet::default(),
+            queued_fresh: false,
             prefetch_buf: Vec::new(),
             prefill_items: Vec::new(),
             decode_items: Vec::new(),
@@ -677,9 +701,7 @@ impl Engine {
     }
 
     fn on_refresh(&mut self, now: SimTime) {
-        let probe = self.take_probe(now);
-        self.sched.on_refresh(&probe);
-        self.probe_scratch = probe;
+        self.with_probe(now, |sched, probe| sched.on_refresh(probe));
         self.cache.decay_frequencies();
     }
 
@@ -881,6 +903,7 @@ impl Engine {
         if self.restoring.is_empty() && self.demoted.is_empty() {
             return;
         }
+        self.queued_fresh = false;
         // Stable removal (not swap_remove) from both lists: running-batch
         // push order is part of the deterministic timeline.
         let mut i = 0;
@@ -935,14 +958,28 @@ impl Engine {
         }
     }
 
-    /// Refills the reusable protected-adapter set (adapters of queued
-    /// requests, §4.2) from the scheduler; `adapters_buf` keeps the
-    /// ordered list, `protected_buf` the set view.
-    fn refresh_protected(&mut self) {
+    /// Fills `adapters_buf` with the adapters of queued requests,
+    /// next-to-run first, and `protected_buf` with their set (§4.2),
+    /// unless both are current. Each operation that reads them marks them
+    /// stale on entry; the queues do not change inside one.
+    fn refresh_queued_adapters(&mut self) {
+        if self.queued_fresh {
+            return;
+        }
         self.adapters_buf.clear();
         self.sched.queued_adapters_into(&mut self.adapters_buf);
         self.protected_buf.clear();
         self.protected_buf.extend(self.adapters_buf.iter().copied());
+        self.queued_fresh = true;
+    }
+
+    /// Evicts idle cached adapters until `bytes` are free, sparing those
+    /// queued requests need while it can. Returns whether `bytes` are
+    /// free.
+    fn make_room(&mut self, bytes: u64, now: SimTime) -> bool {
+        self.refresh_queued_adapters();
+        self.cache
+            .make_room(&mut self.mem, bytes, now, &self.protected_buf)
     }
 
     /// Tries to grow the KV reservation of `running[idx]` by one token,
@@ -961,13 +998,9 @@ impl Engine {
             return true;
         }
         // A new block is genuinely needed: make room and retry once.
-        self.refresh_protected();
+        self.queued_fresh = false;
         let need_block = self.kv.block_bytes();
-        if self.mem.free() < need_block
-            && !self
-                .cache
-                .make_room(&mut self.mem, need_block, now, &self.protected_buf)
-        {
+        if self.mem.free() < need_block && !self.make_room(need_block, now) {
             return false;
         }
         match self.kv.grow(&mut self.mem, id, 1) {
@@ -1006,84 +1039,66 @@ impl Engine {
         self.current_step.is_none() && now >= self.busy_until
     }
 
-    /// Takes the reusable probe scratch, refilled for `now`. Callers put
-    /// it back via `self.probe_scratch = probe` when done, so steady-state
-    /// probing allocates nothing.
-    fn take_probe(&mut self, now: SimTime) -> EngineProbe {
-        let mut probe = std::mem::take(&mut self.probe_scratch);
-        self.fill_probe(now, &mut probe);
-        probe
+    /// Wall time of one decode iteration of `batch` requests at the
+    /// probe's nominal 256-token context. The cost model is fixed for the
+    /// engine's life, so each batch size is priced once.
+    fn decode_step(&mut self, batch: usize) -> SimDuration {
+        while self.decode_steps.len() <= batch {
+            let b = self.decode_steps.len();
+            self.decode_items.clear();
+            self.decode_items.resize(
+                b,
+                DecodeItem {
+                    kv_tokens: 256,
+                    rank: None,
+                },
+            );
+            let step = self.cost.decode_step_time(&self.decode_items);
+            self.decode_steps.push(step);
+        }
+        self.decode_steps[batch]
     }
 
-    fn fill_probe(&mut self, now: SimTime, probe: &mut EngineProbe) {
+    /// Calls `f` with the scheduler and a probe over the engine's live
+    /// state at `now`. The probe borrows the engine's fields, so nothing
+    /// but the scheduler can change while `f` runs.
+    fn with_probe<R>(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>) -> R,
+    ) -> R {
         // Evictable idle cache bytes count as available.
         let available_bytes = self.free_memory_bytes();
-        let available_tokens = available_bytes / self.kv_bytes_per_token;
-        probe.resident.clear();
-        probe.resident.extend(
-            self.cache
-                .idle_adapters()
-                .chain(self.running.iter().map(|r| r.req.adapter()))
-                .chain(self.loading.keys().copied()),
-        );
-        // Per-token execution estimates at the current batch size: a decode
-        // token costs one full (shared) iteration of wall time; a prefill
-        // token costs its compute share.
+        // Per-token execution estimates at the current batch size: a
+        // decode token costs one full (shared) iteration of wall time; a
+        // prefill token costs its compute share.
         let batch = self.running.len().max(1);
-        self.decode_items.clear();
-        self.decode_items.resize(
-            batch,
-            DecodeItem {
-                kv_tokens: 256,
-                rank: None,
-            },
-        );
-        let step = self.cost.decode_step_time(&self.decode_items);
-        let decode_secs_per_token = step.as_secs_f64();
-        let prefill_secs_per_token = {
-            let t1k = self.cost.base_prefill_time(1024).as_secs_f64();
-            let t0 = self.cost.base_prefill_time(1).as_secs_f64();
-            (t1k - t0) / 1023.0
+        let decode_step = self.decode_step(batch);
+        let probe = EngineProbe {
+            now,
+            available_tokens: available_bytes / self.kv_bytes_per_token,
+            batch_slots: self
+                .cfg
+                .max_batch_requests
+                .saturating_sub(self.running.len()),
+            decode_step,
+            decode_secs_per_token: decode_step.as_secs_f64(),
+            secs_per_token: decode_step.as_secs_f64() / batch as f64,
+            prefill_secs_per_token: self.prefill_secs_per_token,
+            total_token_capacity: self.usable_kv_bytes() / self.kv_bytes_per_token,
+            free_kv_bytes: available_bytes,
+            kv: &self.kv,
+            pool: &self.pool,
+            cache: &self.cache,
+            loading: &self.loading,
+            running: &self.running,
+            resident: Lent::new(std::mem::take(&mut self.resident_buf)),
+            release: Lent::new(std::mem::take(&mut self.release)),
         };
-        let secs_per_token = step.as_secs_f64() / batch as f64;
-        // Predicted release schedule: when each running request is expected
-        // to finish and how many bytes it would free.
-        let rel = &mut probe.mem_release_schedule;
-        rel.clear();
-        rel.extend(self.running.iter().map(|r| {
-            let remaining = u64::from(
-                r.predicted_output
-                    .max(r.produced)
-                    .saturating_sub(r.produced),
-            ) + u64::from(r.prefill_remaining) / 64;
-            let finish = now + step.mul_f64(remaining as f64);
-            // Block-rounded, matching what `KvAllocator::free` actually
-            // releases at retirement.
-            let freed = self.kv.bytes_for(r.kv_reserved) + self.adapter_bytes(r.req.adapter());
-            (finish, freed)
-        }));
-        // In-place unstable sort (no temp buffer); tied finish times all
-        // resolve to the same wait, so the tie order is immaterial.
-        rel.sort_unstable_by_key(|&(t, _)| t);
-        let mut acc = 0u64;
-        for item in rel.iter_mut() {
-            acc += item.1;
-            item.1 = acc;
-        }
-        let usable = self.usable_kv_bytes();
-        probe.now = now;
-        probe.available_tokens = available_tokens;
-        probe.batch_slots = self
-            .cfg
-            .max_batch_requests
-            .saturating_sub(self.running.len());
-        probe.secs_per_token = secs_per_token;
-        probe.decode_secs_per_token = decode_secs_per_token;
-        probe.prefill_secs_per_token = prefill_secs_per_token;
-        probe.total_token_capacity = usable / self.kv_bytes_per_token;
-        probe.free_kv_bytes = available_bytes;
-        probe.kv_bytes_per_token = self.kv_bytes_per_token;
-        probe.kv_block_bytes = self.kv.block_bytes();
+        let answer = f(self.sched.as_mut(), &probe);
+        (self.resident_buf, _) = probe.resident.into_inner();
+        (self.release, self.release_fresh) = probe.release.into_inner();
+        answer
     }
 
     fn try_dispatch(&mut self, now: SimTime, out: &mut Vec<(SimTime, EngineEvent)>) {
@@ -1104,11 +1119,17 @@ impl Engine {
         }
         self.service_kv_restores(now, out);
         self.check_squash(now);
-        let probe = self.take_probe(now);
         let mut admissions = std::mem::take(&mut self.admit_buf);
         admissions.clear();
-        self.sched.form_batch_into(&probe, &mut admissions);
-        self.probe_scratch = probe;
+        // A traced KV refusal reports the release schedule as it stood
+        // before this dispatch's admissions changed the running batch.
+        let refusals_traced = self.trace.is_some() && self.kv_spec.is_some_and(|s| s.admission);
+        self.with_probe(now, |sched, probe| {
+            sched.form_batch_into(probe, &mut admissions);
+            if refusals_traced {
+                probe.release_schedule();
+            }
+        });
         let mut admitted = 0u32;
         {
             let mut iter = admissions.drain(..);
@@ -1170,7 +1191,7 @@ impl Engine {
         let id = req.id();
         let adapter = req.adapter();
         let predicted = adm.request.predicted_output();
-        self.refresh_protected();
+        self.queued_fresh = false;
 
         // 1. KV reservation for input + predicted output.
         let kv_tokens = req.input_tokens() + predicted;
@@ -1208,9 +1229,11 @@ impl Engine {
             if need > reclaimable {
                 self.kv_stats.on_refused();
                 if let Some(buf) = &mut self.trace {
-                    // How long the release schedule says the deficit
+                    // How long the release schedule, built before the
+                    // first admission of this dispatch, says the deficit
                     // takes to free up.
-                    let est_wait = self.probe_scratch.estimate_mem_wait(need - reclaimable);
+                    debug_assert!(self.release_fresh, "schedule built before admissions");
+                    let est_wait = release_wait(&self.release, now, need - reclaimable);
                     buf.push((
                         now,
                         TraceEvent::AdmissionRefused {
@@ -1232,8 +1255,7 @@ impl Engine {
         // baseline's acquire-after-allocate order byte for byte.
         let pre_acquired = guarded.then(|| self.cache.acquire(&mut self.mem, adapter, now));
         if self.mem.free() < kv_bytes {
-            self.cache
-                .make_room(&mut self.mem, kv_bytes, now, &self.protected_buf);
+            self.make_room(kv_bytes, now);
         }
         if self.kv.allocate(&mut self.mem, id, kv_tokens).is_err() {
             // Snapshot was optimistic; push back and stop. With the KV
@@ -1264,9 +1286,8 @@ impl Engine {
         if adm.bypassed {
             self.collector.on_bypass(id);
             // Identify the blocked head (r1) as the current head of the
-            // same queue, if any, for the squash rule. `adapters_buf` is
-            // the ordered queued-adapter list refreshed above; the queues
-            // have not changed since.
+            // same queue, if any, for the squash rule.
+            self.refresh_queued_adapters();
             if let Some(r1) = self.adapters_buf.first().copied() {
                 // Approximation: protect against squashing storms by
                 // recording the blocked adapter's byte need as tokens.
@@ -1329,8 +1350,7 @@ impl Engine {
         }
         let bytes = self.adapter_bytes(adapter);
         if self.mem.free() < bytes {
-            self.cache
-                .make_room(&mut self.mem, bytes, now, &self.protected_buf);
+            self.make_room(bytes, now);
         }
         self.start_load(adapter, bytes, 1, now, out)
     }
@@ -1670,12 +1690,17 @@ mod tests {
     use chameleon_cache::EvictionPolicy;
     use chameleon_models::{AdapterRank, GpuSpec, LlmSpec, PoolConfig};
     use chameleon_predictor::OraclePredictor;
-    use chameleon_sched::FifoScheduler;
+    use chameleon_sched::{FifoScheduler, ResourceProbe};
 
     fn mk_engine() -> Engine {
+        mk_engine_kv(None)
+    }
+
+    fn mk_engine_kv(kv: Option<KvSpec>) -> Engine {
         let llm = LlmSpec::llama_7b();
         let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
-        let cfg = EngineConfig::new(llm, GpuSpec::a40());
+        let mut cfg = EngineConfig::new(llm, GpuSpec::a40());
+        cfg.kv = kv;
         let wrs = WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64);
         Engine::new(
             cfg,
@@ -1971,22 +1996,117 @@ mod tests {
     }
 
     /// The probe's predicted release schedule reports block-rounded bytes —
-    /// exactly what `KvAllocator::free` will release at retirement.
+    /// exactly what `KvAllocator::free` will release at retirement — and
+    /// is built only when a wait is asked for, afresh for each probe.
     #[test]
     fn release_schedule_is_block_rounded() {
         let mut e = mk_engine();
         // 17 tokens round up to 2 blocks.
         install_running(&mut e, request(1, 0.0, 16, 8, 0), 17, SimTime::ZERO);
         let adapter_bytes = e.pool.get(AdapterId(0)).unwrap().bytes();
-        let probe = e.take_probe(SimTime::from_secs_f64(1.0));
-        let sched = &probe.mem_release_schedule;
-        assert_eq!(sched.len(), 1);
-        assert_eq!(
-            sched[0].1,
-            e.kv.bytes_for(17) + adapter_bytes,
-            "schedule must match the block-rounded bytes retirement frees"
+        let freed = e.kv.bytes_for(17) + adapter_bytes;
+        assert!(freed > 17 * e.kv.bytes_per_token() + adapter_bytes);
+        // A schedule left by an earlier probe.
+        e.release.push((SimTime::ZERO, u64::MAX));
+        let now = SimTime::from_secs_f64(1.0);
+        e.with_probe(now, |_, _| ());
+        assert!(!e.release_fresh, "built though no wait was asked");
+        let (fits, short) = e.with_probe(now, |_, probe| {
+            let fits = probe.estimate_mem_wait(freed);
+            (fits, probe.estimate_mem_wait(freed + 1))
+        });
+        assert!(fits < SimDuration::MAX, "the block-rounded bytes free up");
+        assert_eq!(short, SimDuration::MAX, "one byte past them never does");
+        assert!(e.release_fresh);
+        assert_eq!(e.release, vec![(now + fits, freed)], "stale entry dropped");
+    }
+
+    /// A traced KV refusal reports the release schedule as it stood
+    /// before the dispatch's admissions, even when the scheduler (FIFO
+    /// here) never asked for a wait itself.
+    #[test]
+    fn traced_refusal_reads_the_pre_admission_schedule() {
+        let mut e = mk_engine_kv(Some(KvSpec::admission_only()));
+        e.enable_tracing();
+        let now = SimTime::from_secs_f64(1.0);
+        // One running request with 4 tokens left to produce.
+        install_running(&mut e, request(1, 0.0, 16, 8, 1), 16, SimTime::ZERO);
+        e.running[0].predicted_output = 5;
+        // The arrival's own adapter is idle-cached and memory is otherwise
+        // full: FIFO counts the idle adapter as room and admits, the
+        // engine's completability check does not and refuses.
+        let spec = e.pool.get(AdapterId(0)).unwrap().clone();
+        e.cache.insert_loaded(&mut e.mem, &spec, now, 0).unwrap();
+        let free = e.mem.free();
+        e.mem.reserve(Region::Activations, free).unwrap();
+        let mut out = Vec::new();
+        e.handle(
+            now,
+            EngineEvent::Arrival(request(2, 1.0, 8, 8, 0)),
+            &mut out,
         );
-        assert!(sched[0].1 > 17 * e.kv.bytes_per_token() + adapter_bytes);
+        let refused: Vec<SimDuration> = e
+            .take_trace_events()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::AdmissionRefused { est_wait, .. } => Some(est_wait),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refused, vec![e.decode_step(1).mul_f64(4.0)]);
+    }
+
+    /// The probe's residency answer is idle cached ∪ running ∪ in flight
+    /// for every pool adapter: an adapter in flight with no waiter counts,
+    /// one held only by a restoring request does not, and a set left by
+    /// an earlier probe is not reused.
+    #[test]
+    fn residency_is_idle_running_or_in_flight() {
+        let mut e = mk_engine();
+        let now = SimTime::from_secs_f64(1.0);
+        let spec = |e: &Engine, a: u32| e.pool.get(AdapterId(a)).unwrap().clone();
+        // Adapters 0 and 1 idle in the cache; 2 in use by a running request.
+        for (a, refs) in [(0, 0), (1, 0), (2, 1)] {
+            let s = spec(&e, a);
+            e.cache.insert_loaded(&mut e.mem, &s, now, refs).unwrap();
+        }
+        install_running(&mut e, request(10, 0.0, 16, 8, 2), 16, SimTime::ZERO);
+        // Its reference is the cache's, not a load's.
+        e.loading.remove(&AdapterId(2));
+        // Adapter 3 in flight for a running request; 4 warm-loading.
+        install_running(&mut e, request(11, 0.0, 16, 8, 3), 16, SimTime::ZERO);
+        e.loading.insert(
+            AdapterId(4),
+            Loading {
+                ready_at: SimTime::from_secs_f64(2.0),
+                bytes: 0,
+                waiters: 0,
+            },
+        );
+        // Adapter 5 referenced only by a restoring request.
+        let s = spec(&e, 5);
+        e.cache.insert_loaded(&mut e.mem, &s, now, 1).unwrap();
+        let mut run = e.running[0].clone();
+        run.req = request(12, 0.0, 16, 8, 5);
+        e.restoring.push(Restoring {
+            d: Demoted {
+                run,
+                proxy_bytes: 0,
+                demoted_at: SimTime::ZERO,
+            },
+            ready_at: SimTime::from_secs_f64(2.0),
+        });
+        // A set left by an earlier probe, naming adapter 9.
+        e.resident_buf.insert(AdapterId(9));
+        let ids: Vec<AdapterId> = e.pool.iter().map(|a| a.id()).collect();
+        let resident: Vec<u32> = e.with_probe(now, |_, probe| {
+            ids.iter()
+                .filter(|&&a| probe.adapter_resident(a))
+                .map(|a| a.0)
+                .collect()
+        });
+        assert_eq!(resident, vec![0, 1, 2, 3, 4]);
+        assert_eq!(e.cache.ref_count(AdapterId(5)), Some(1), "restore holds 5");
     }
 
     /// §4.3.3 squash rule, dissolve branch: when enough memory has freed

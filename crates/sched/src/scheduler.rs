@@ -11,6 +11,12 @@ use chameleon_models::AdapterId;
 use chameleon_simcore::{SimDuration, SimTime};
 
 /// Engine-provided view of resource availability during batch formation.
+///
+/// A probe is valid only during the call that received it
+/// ([`Scheduler::form_batch_into`] or [`Scheduler::on_refresh`]): the
+/// engine may answer from its live state, which changes once the call
+/// returns. A scheduler keeps no probe past the call, and an answer
+/// describes the engine only as it stood during it.
 pub trait ResourceProbe {
     /// Current simulated time.
     fn now(&self) -> SimTime;
